@@ -47,7 +47,7 @@ from .gpusim.spec import DeviceSpec
 from .log import configure as configure_logging, get_logger
 from .trace import NULL_TRACER, JsonTracer
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
 
 MIB = 1 << 20
 
@@ -163,6 +163,84 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
         "success (requires --window)",
     )
     _add_trace_args(p)
+
+
+def _add_service_args(p: argparse.ArgumentParser) -> None:
+    """The SolveService knobs ``batch`` and ``serve`` share."""
+    p.add_argument(
+        "--devices", type=int, default=1,
+        help="size of the simulated device pool (default 1)",
+    )
+    p.add_argument(
+        "--policy", default="fifo", choices=["fifo", "sef"],
+        help="job ordering: submission order or shortest-expected-first "
+        "(default fifo)",
+    )
+    p.add_argument(
+        "--cache-size", type=int, default=128,
+        help="result-cache capacity in entries; 0 disables (default 128)",
+    )
+    p.add_argument(
+        "--memory-mib", type=int, default=192,
+        help="per-device memory budget in MiB (default 192)",
+    )
+    p.add_argument(
+        "--timeout", type=float, default=None, metavar="SECONDS",
+        help="default per-job wall-clock budget (jobs may override)",
+    )
+    p.add_argument(
+        "--max-attempts", type=int, default=3,
+        help="attempts per job along the degradation ladder (default 3)",
+    )
+
+
+def _make_service(args: argparse.Namespace, **kwargs):
+    """The SolveService that the :func:`_add_service_args` flags describe."""
+    from .service import SolveService
+
+    return SolveService(
+        devices=args.devices,
+        spec=DeviceSpec(memory_bytes=args.memory_mib * MIB),
+        policy=args.policy,
+        cache_size=args.cache_size,
+        max_attempts=args.max_attempts,
+        default_timeout_s=args.timeout,
+        **kwargs,
+    )
+
+
+def _add_listener_args(
+    p: argparse.ArgumentParser,
+    port: Optional[int],
+    port_help: str,
+    max_conns: Optional[int] = None,
+) -> None:
+    """The listening flags of ``serve``, ``router`` and ``chaos-proxy``.
+
+    ``max_conns`` (the ``--max-conns`` default) also adds the
+    ``--max-conns`` and ``--drain-timeout`` flags of the two endpoints
+    that cap and drain connections.
+    """
+    p.add_argument(
+        "--host", default="127.0.0.1",
+        help="interface to bind (default 127.0.0.1)",
+    )
+    p.add_argument("--port", type=int, default=port, help=port_help)
+    p.add_argument(
+        "--max-frame-mib", type=int, default=8,
+        help="per-frame wire size limit in MiB (default 8)",
+    )
+    if max_conns is None:
+        return
+    p.add_argument(
+        "--max-conns", type=int, default=max_conns,
+        help=f"concurrent client connections before refusing "
+        f"(default {max_conns})",
+    )
+    p.add_argument(
+        "--drain-timeout", type=float, default=60.0, metavar="SECONDS",
+        help="graceful-drain budget on SIGTERM/shutdown (default 60)",
+    )
 
 
 def _checkpoint_round_trip(args: argparse.Namespace, graph, config):
@@ -339,7 +417,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from .service import SolveService
     from .service.jobs import load_jobs
 
     try:
@@ -362,13 +439,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 f"{args.fault_plan}"
             )
     tracer = _make_tracer(args)
-    service = SolveService(
-        devices=args.devices,
-        spec=DeviceSpec(memory_bytes=args.memory_mib * MIB),
-        policy=args.policy,
-        cache_size=args.cache_size,
-        max_attempts=args.max_attempts,
-        default_timeout_s=args.timeout,
+    service = _make_service(
+        args,
         tracer=tracer,
         fault_plan=fault_plan,
         executor=args.executor,
@@ -434,18 +506,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .server import ServerConfig, SolveServer
-    from .service import SolveService
     from .trace import CounterTracer
 
     if args.workers < 1:
         raise SystemExit("error: --workers must be at least 1")
-    service = SolveService(
-        devices=args.devices,
-        spec=DeviceSpec(memory_bytes=args.memory_mib * MIB),
-        policy=args.policy,
-        cache_size=args.cache_size,
-        max_attempts=args.max_attempts,
-        default_timeout_s=args.timeout,
+    service = _make_service(
+        args,
         # counters-only tracer: the stats frame reports service.*
         # counters without forcing the threaded executor serial
         tracer=CounterTracer(),
@@ -1044,7 +1110,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="repro", description="Maximum clique enumeration on a simulated GPU"
     )
@@ -1065,30 +1132,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "batch", help="run a JSON job file through the solve service"
     )
     p_batch.add_argument("jobs", help="jobs file (JSON; see docs/SERVICE.md)")
-    p_batch.add_argument(
-        "--devices", type=int, default=1,
-        help="size of the simulated device pool (default 1)",
-    )
-    p_batch.add_argument(
-        "--policy", default="fifo", choices=["fifo", "sef"],
-        help="job ordering: submission order or shortest-expected-first",
-    )
-    p_batch.add_argument(
-        "--cache-size", type=int, default=128,
-        help="result-cache capacity in entries; 0 disables (default 128)",
-    )
-    p_batch.add_argument(
-        "--memory-mib", type=int, default=192,
-        help="per-device memory budget in MiB (default 192)",
-    )
-    p_batch.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="default per-job wall-clock budget (jobs may override)",
-    )
-    p_batch.add_argument(
-        "--max-attempts", type=int, default=3,
-        help="attempts per job along the degradation ladder (default 3)",
-    )
+    _add_service_args(p_batch)
     p_batch.add_argument(
         "--executor", default="serial", choices=["serial", "threaded"],
         help="batch executor: one job at a time, or host threads "
@@ -1144,22 +1188,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_serve = sub.add_parser(
         "serve", help="network solve server (repro-wire/1)"
     )
-    p_serve.add_argument(
-        "--host", default="127.0.0.1",
-        help="interface to bind (default 127.0.0.1)",
-    )
-    p_serve.add_argument(
-        "--port", type=int, default=None,
-        help="TCP port (default 7421; 0 picks an ephemeral port)",
+    _add_listener_args(
+        p_serve,
+        None,
+        "TCP port (default 7421; 0 picks an ephemeral port)",
+        max_conns=32,
     )
     p_serve.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="solver worker threads; >1 enables the threaded batch "
         "executor (default 1)",
-    )
-    p_serve.add_argument(
-        "--max-conns", type=int, default=32,
-        help="concurrent client connections before refusing (default 32)",
     )
     p_serve.add_argument(
         "--rate", type=float, default=0.0,
@@ -1175,38 +1213,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="bounded solve queue; beyond it solves get a retriable "
         "server_busy error (default 64)",
     )
-    p_serve.add_argument(
-        "--max-frame-mib", type=int, default=8,
-        help="per-frame wire size limit in MiB (default 8)",
-    )
-    p_serve.add_argument(
-        "--drain-timeout", type=float, default=60.0, metavar="SECONDS",
-        help="graceful-drain budget on SIGTERM/shutdown (default 60)",
-    )
-    p_serve.add_argument(
-        "--devices", type=int, default=1,
-        help="size of the simulated device pool (default 1)",
-    )
-    p_serve.add_argument(
-        "--policy", default="fifo", choices=["fifo", "sef"],
-        help="job ordering inside a micro-batch (default fifo)",
-    )
-    p_serve.add_argument(
-        "--cache-size", type=int, default=128,
-        help="result-cache capacity in entries; 0 disables (default 128)",
-    )
-    p_serve.add_argument(
-        "--memory-mib", type=int, default=192,
-        help="per-device memory budget in MiB (default 192)",
-    )
-    p_serve.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="default per-job wall-clock budget (requests may override)",
-    )
-    p_serve.add_argument(
-        "--max-attempts", type=int, default=3,
-        help="attempts per job along the degradation ladder (default 3)",
-    )
+    _add_service_args(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_router = sub.add_parser(
@@ -1217,25 +1224,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--backends", nargs="+", required=True, metavar="HOST:PORT",
         help="backend solve servers (at least one)",
     )
-    p_router.add_argument(
-        "--host", default="127.0.0.1",
-        help="interface to bind (default 127.0.0.1)",
-    )
-    p_router.add_argument(
-        "--port", type=int, default=None,
-        help="TCP port (default 7431; 0 picks an ephemeral port)",
+    _add_listener_args(
+        p_router,
+        None,
+        "TCP port (default 7431; 0 picks an ephemeral port)",
+        max_conns=64,
     )
     p_router.add_argument(
         "--replicas", type=int, default=64, metavar="N",
         help="virtual nodes per backend on the hash ring (default 64)",
-    )
-    p_router.add_argument(
-        "--max-conns", type=int, default=64,
-        help="concurrent client connections before refusing (default 64)",
-    )
-    p_router.add_argument(
-        "--max-frame-mib", type=int, default=8,
-        help="per-frame wire size limit in MiB (default 8)",
     )
     p_router.add_argument(
         "--probe-interval", type=float, default=0.5, metavar="SECONDS",
@@ -1252,10 +1249,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "solves (default 0.25)",
     )
     p_router.add_argument(
-        "--drain-timeout", type=float, default=60.0, metavar="SECONDS",
-        help="graceful-drain budget on SIGTERM/shutdown (default 60)",
-    )
-    p_router.add_argument(
         "--jitter-seed", type=int, default=None, metavar="SEED",
         help="seed the resubmit-backoff jitter stream (default: OS entropy)",
     )
@@ -1269,21 +1262,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--upstream", required=True, metavar="HOST:PORT",
         help="the real endpoint to relay to (a repro serve or router)",
     )
-    p_chaos.add_argument(
-        "--host", default="127.0.0.1",
-        help="interface to bind (default 127.0.0.1)",
-    )
-    p_chaos.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port to listen on (default 0: ephemeral)",
-    )
+    _add_listener_args(p_chaos, 0, "TCP port to listen on (default 0: ephemeral)")
     p_chaos.add_argument(
         "--plan", default=None, metavar="PLAN.json",
         help="repro-net-fault-plan/1 file; omit for a transparent relay",
-    )
-    p_chaos.add_argument(
-        "--max-frame-mib", type=int, default=8,
-        help="per-frame wire size limit in MiB (default 8)",
     )
     p_chaos.set_defaults(func=_cmd_chaos_proxy)
 
@@ -1433,8 +1415,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     _add_client_args(p_cluster)
     p_cluster.set_defaults(func=_cmd_cluster_status)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     configure_logging(args.log_level)
     return args.func(args)
 

@@ -85,56 +85,7 @@ class BackendLink:
             if self._writer is not None:
                 assert self.hello is not None
                 return self.hello
-            try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(
-                        self.host, self.port, limit=self.max_frame_bytes
-                    ),
-                    self.connect_timeout_s,
-                )
-            except (OSError, asyncio.TimeoutError) as exc:
-                raise BackendLostError(
-                    f"backend {self.name} unreachable: {exc}"
-                ) from exc
-            try:
-                writer.write(
-                    protocol.encode_frame(
-                        {
-                            "type": "hello",
-                            "protocol": protocol.PROTOCOL,
-                            "client": "repro-router",
-                        }
-                    )
-                )
-                await writer.drain()
-                line = await asyncio.wait_for(
-                    reader.readline(), self.connect_timeout_s
-                )
-                if not line:
-                    raise BackendLostError(
-                        f"backend {self.name} closed during handshake"
-                    )
-                hello = protocol.decode_frame(line)
-            except (OSError, asyncio.TimeoutError, ProtocolError) as exc:
-                writer.close()
-                raise BackendLostError(
-                    f"backend {self.name} handshake failed: {exc}"
-                ) from exc
-            if hello.get("type") == "error":
-                writer.close()
-                raise BackendLostError(
-                    f"backend {self.name} refused the handshake: "
-                    f"{hello.get('code')}: {hello.get('message')}"
-                )
-            if (
-                hello.get("type") != "hello"
-                or hello.get("protocol") != protocol.PROTOCOL
-            ):
-                writer.close()
-                raise BackendLostError(
-                    f"backend {self.name} spoke "
-                    f"{hello.get('protocol')!r}, not {protocol.PROTOCOL}"
-                )
+            reader, writer, hello = await self.dial(self.connect_timeout_s)
             self._reader, self._writer = reader, writer
             self.hello = hello
             self._reader_task = asyncio.get_running_loop().create_task(
@@ -144,6 +95,64 @@ class BackendLink:
                 "link up: %s (%s)", self.name, hello.get("server", "?")
             )
             return hello
+
+    async def dial(self, timeout_s: float):
+        """Open a fresh connection and exchange hellos.
+
+        Returns ``(reader, writer, hello)``; each step gets
+        ``timeout_s``. Raises :class:`BackendLostError` when the backend
+        is unreachable, refuses, or fails the handshake. The router's
+        subscription pipes dial their own connection this way too.
+        """
+        try:
+            reader, writer = await asyncio.wait_for(
+                asyncio.open_connection(
+                    self.host, self.port, limit=self.max_frame_bytes
+                ),
+                timeout_s,
+            )
+        except (OSError, asyncio.TimeoutError) as exc:
+            raise BackendLostError(
+                f"backend {self.name} unreachable: {exc}"
+            ) from exc
+        try:
+            writer.write(
+                protocol.encode_frame(
+                    {
+                        "type": "hello",
+                        "protocol": protocol.PROTOCOL,
+                        "client": "repro-router",
+                    }
+                )
+            )
+            await writer.drain()
+            line = await asyncio.wait_for(reader.readline(), timeout_s)
+            if not line:
+                raise BackendLostError(
+                    f"backend {self.name} closed during handshake"
+                )
+            hello = protocol.decode_frame(line)
+        except (OSError, asyncio.TimeoutError, ProtocolError) as exc:
+            writer.close()
+            raise BackendLostError(
+                f"backend {self.name} handshake failed: {exc}"
+            ) from exc
+        if hello.get("type") == "error":
+            writer.close()
+            raise BackendLostError(
+                f"backend {self.name} refused the handshake: "
+                f"{hello.get('code')}: {hello.get('message')}"
+            )
+        if (
+            hello.get("type") != "hello"
+            or hello.get("protocol") != protocol.PROTOCOL
+        ):
+            writer.close()
+            raise BackendLostError(
+                f"backend {self.name} spoke "
+                f"{hello.get('protocol')!r}, not {protocol.PROTOCOL}"
+            )
+        return reader, writer, hello
 
     async def close(self) -> None:
         """Close the connection deliberately (router drain, not a fault)."""

@@ -38,8 +38,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import random
-import signal
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -49,7 +47,7 @@ from ..core.config import config_fingerprint
 from ..errors import ProtocolError, ServerError
 from ..log import get_logger
 from ..server import protocol
-from ..server.stats import ServerStats
+from ..server.endpoint import Conn, EndpointThread, WireEndpoint
 from .backend import BackendLink, BackendLostError
 from .health import DOWN, BackendHealth
 from .ring import DEFAULT_REPLICAS, HashRing
@@ -58,7 +56,7 @@ __all__ = ["RouterConfig", "Router", "RouterThread", "DEFAULT_ROUTER_PORT"]
 
 log = get_logger("cluster.router")
 
-#: Default TCP port of ``repro router`` (one above the server's).
+#: Default TCP port of ``repro router`` (ten above the server's 7421).
 DEFAULT_ROUTER_PORT = 7431
 
 
@@ -97,25 +95,12 @@ class RouterConfig:
     jitter_seed: Optional[int] = None
 
 
-class _ClientConn:
-    """Per-client-connection state (mirrors the server's ``_Conn``)."""
-
-    def __init__(self, cid: int, writer: asyncio.StreamWriter) -> None:
-        self.cid = cid
-        self.writer = writer
-        self.write_lock = asyncio.Lock()
-        #: client request id -> router id, for outstanding solves
-        self.jobs: Dict[str, str] = {}
-        self.tasks: Set[asyncio.Task] = set()
-        self.closed = False
-
-
 @dataclass
 class _InFlight:
     """One solve travelling through the router."""
 
     rid: str  #: router-assigned wire id used towards backends
-    conn: _ClientConn
+    conn: Conn
     request_id: Optional[str]  #: the client's id, echoed in the reply
     frame: Dict[str, Any]  #: original solve frame, sans id/checkpoint
     key: str  #: ring key: "<graph_fp>/<config_fp>"
@@ -131,14 +116,15 @@ class _InFlight:
     tried: Set[str] = field(default_factory=set)
 
 
-class Router:
+class Router(WireEndpoint):
     """Consistent-hash router with health checks and failover."""
+
+    role = "router"
 
     def __init__(self, config: RouterConfig) -> None:
         if not config.backends:
             raise ValueError("a router needs at least one backend")
-        self.config = config
-        self.stats = ServerStats()
+        super().__init__(config)
         names = [f"{h}:{p}" for h, p in config.backends]
         self.ring = HashRing(names, replicas=config.replicas)
         self.links: Dict[str, BackendLink] = {}
@@ -152,12 +138,6 @@ class Router:
                 on_lost=self._on_link_lost,
             )
             self.health[name] = BackendHealth(config.down_threshold)
-        self.port: Optional[int] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._done: Optional[asyncio.Event] = None
-        self._draining = False
-        self._conns: Set[_ClientConn] = set()
         self._inflight: Dict[str, _InFlight] = {}
         #: session id -> backend name (resident state lives *there*)
         self._pinned: Dict[str, str] = {}
@@ -166,79 +146,47 @@ class Router:
         #: non-retriable ``session_lost`` until the client reopens
         self._lost_sessions: Set[str] = set()
         self._bg_tasks: Set[asyncio.Task] = set()
-        self._next_cid = 0
         self._next_rid = 0
         self._rng = random.Random(config.jitter_seed)
+        self._handlers.update(
+            {
+                "solve": self._on_solve,
+                "status": self._on_forwarded,
+                "checkpoint": self._on_forwarded,
+                "cancel": self._on_forwarded,
+                "open-session": self._on_session_op,
+                "mutate": self._on_session_op,
+                "close-session": self._on_session_op,
+                "subscribe": self._on_subscribe,
+            }
+        )
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Bind the listener and start probe/poll loops."""
-        self._loop = asyncio.get_running_loop()
-        self._done = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_conn,
-            self.config.host,
-            self.config.port,
-            limit=self.config.max_frame_bytes,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+    def _started(self) -> None:
+        """Start the probe and checkpoint-poll loops."""
         for name in self.links:
             self._spawn(self._probe_loop(name))
         self._spawn(self._checkpoint_poll_loop())
-        log.info(
-            "routing repro-wire/1 on %s:%d over %d backend(s)",
-            self.config.host, self.port, len(self.links),
-        )
+        log.info("routing over %d backend(s)", len(self.links))
 
-    async def serve_until_drained(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._done is not None
-        await self._done.wait()
+    def _bye_frame(self) -> Dict[str, Any]:
+        return {"type": "bye", "in_flight": len(self._inflight), "queued": 0}
 
-    def run(self, install_signal_handlers: bool = True) -> None:
-        """Blocking entry point used by ``repro router``."""
-
-        async def _main() -> None:
-            await self.start()
-            if install_signal_handlers:
-                loop = asyncio.get_running_loop()
-                for sig in (signal.SIGTERM, signal.SIGINT):
-                    with contextlib.suppress(NotImplementedError):
-                        loop.add_signal_handler(sig, self.begin_drain)
-            await self.serve_until_drained()
-
-        asyncio.run(_main())
-
-    def begin_drain(self) -> None:
-        """Graceful drain: finish in-flight solves, never touch backends."""
-        if self._draining:
-            return
-        self._draining = True
-        log.info("drain: stopping listener, finishing in-flight solves")
-        assert self._loop is not None
-        self._loop.create_task(self._drain())
-
-    async def _drain(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        tasks = [t for conn in list(self._conns) for t in list(conn.tasks)]
-        if tasks:
-            await asyncio.wait(tasks, timeout=self.config.drain_timeout_s)
-        for task in list(self._bg_tasks):
-            task.cancel()
-        if self._bg_tasks:
-            await asyncio.gather(*self._bg_tasks, return_exceptions=True)
+    async def _drain_body(self) -> None:
+        """Finish in-flight solves, then close the links (never the backends)."""
+        await self._wait_conn_tasks()
+        # cancel until the loops are gone: before Python 3.12, a
+        # wait_for whose inner await finishes as it is cancelled
+        # swallows the cancellation, and the loop would run on
+        while self._bg_tasks:
+            tasks = list(self._bg_tasks)
+            for task in tasks:
+                task.cancel()
+            await asyncio.wait(tasks, timeout=self.config.probe_interval_s)
         for link in self.links.values():
             await link.close()
-        for conn in list(self._conns):
-            await self._close_conn(conn)
-        assert self._done is not None
-        self._done.set()
-        log.info("drain: complete")
 
     def _spawn(self, coro) -> asyncio.Task:
         assert self._loop is not None
@@ -335,37 +283,8 @@ class Router:
                     self.stats.inc(f"checkpoints.polled.{link.name}")
 
     # ------------------------------------------------------------------
-    # client connection handling
+    # hello advert
     # ------------------------------------------------------------------
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.stats.inc("connections.total")
-        conn = _ClientConn(self._next_cid, writer)
-        self._next_cid += 1
-        if self._draining or len(self._conns) >= self.config.max_conns:
-            code = "draining" if self._draining else "too_many_connections"
-            self.stats.inc(f"rejects.{code}")
-            with contextlib.suppress(ConnectionError, OSError):
-                writer.write(
-                    protocol.encode_frame(
-                        protocol.error_frame(code, f"connection refused: {code}")
-                    )
-                )
-                await writer.drain()
-            writer.close()
-            return
-        with contextlib.suppress(Exception):
-            writer.transport.set_write_buffer_limits(high=256 * 1024)
-        self._conns.add(conn)
-        try:
-            if await self._handshake(conn, reader):
-                await self._read_loop(conn, reader)
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            await self._teardown_conn(conn)
-
     def _hello_frame(self) -> Dict[str, Any]:
         """The router's capability advert: the backend intersection.
 
@@ -402,49 +321,11 @@ class Router:
             "backends": len(self.links),
         }
 
-    async def _handshake(
-        self, conn: _ClientConn, reader: asyncio.StreamReader
-    ) -> bool:
-        try:
-            line = await asyncio.wait_for(
-                reader.readline(), self.config.handshake_timeout_s
-            )
-        except asyncio.TimeoutError:
-            await self._send_error(
-                conn, "handshake_required", "no hello frame before timeout"
-            )
-            return False
-        except ValueError:
-            await self._oversized(conn)
-            return False
-        if not line:
-            return False
-        self.stats.inc("frames.in")
-        try:
-            frame = protocol.decode_frame(line)
-        except ProtocolError as exc:
-            await self._send_error(conn, exc.code, str(exc))
-            return False
-        if frame.get("type") != "hello":
-            await self._send_error(
-                conn,
-                "handshake_required",
-                f"first frame must be hello, got {frame.get('type')!r}",
-            )
-            return False
-        if frame.get("protocol") != protocol.PROTOCOL:
-            await self._send_error(
-                conn,
-                "unsupported_protocol",
-                f"router speaks {protocol.PROTOCOL}, "
-                f"client offered {frame.get('protocol')!r}",
-            )
-            return False
+    async def _hello(self) -> Dict[str, Any]:
         # handshake every reachable link first so the advert is the
         # real backend intersection, not the optimistic default
         await self._connect_links()
-        await self._send(conn, self._hello_frame())
-        return True
+        return self._hello_frame()
 
     async def _connect_links(self) -> None:
         """Best-effort connect of every link that is not up yet."""
@@ -459,64 +340,12 @@ class Router:
         if pending:
             await asyncio.gather(*pending)
 
-    async def _read_loop(
-        self, conn: _ClientConn, reader: asyncio.StreamReader
-    ) -> None:
-        while not conn.closed:
-            try:
-                line = await reader.readline()
-            except ValueError:
-                await self._oversized(conn)
-                return
-            if not line:
-                return
-            self.stats.inc("frames.in")
-            try:
-                frame = protocol.decode_frame(line)
-            except ProtocolError as exc:
-                self.stats.inc("rejects.bad_frame")
-                await self._send_error(conn, exc.code, str(exc))
-                continue
-            await self._dispatch(conn, frame)
-
-    async def _dispatch(self, conn: _ClientConn, frame: Dict[str, Any]) -> None:
-        ftype = frame["type"]
-        if ftype == "solve":
-            await self._on_solve(conn, frame)
-        elif ftype == "stats":
-            await self._send(conn, self.stats_frame())
-        elif ftype in ("status", "checkpoint"):
-            await self._on_forwarded(conn, frame, ftype)
-        elif ftype == "cancel":
-            await self._on_forwarded(conn, frame, "cancel")
-        elif ftype in ("open-session", "mutate", "close-session"):
-            await self._on_session_op(conn, frame, ftype)
-        elif ftype == "subscribe":
-            await self._on_subscribe(conn, frame)
-        elif ftype == "shutdown":
-            await self._send(
-                conn,
-                {"type": "bye", "in_flight": len(self._inflight), "queued": 0},
-            )
-            self.begin_drain()
-        elif ftype == "hello":
-            await self._send(conn, self._hello_frame())
-        else:
-            self.stats.inc("rejects.unknown_type")
-            await self._send_error(
-                conn,
-                "unknown_type",
-                f"unknown frame type {ftype!r}",
-                request_id=frame.get("id"),
-            )
-
     # ------------------------------------------------------------------
     # solve routing
     # ------------------------------------------------------------------
-    async def _on_solve(self, conn: _ClientConn, frame: Dict[str, Any]) -> None:
+    async def _on_solve(self, conn: Conn, frame: Dict[str, Any]) -> None:
         request_id = frame.get("id")
-        if request_id is not None and not isinstance(request_id, str):
-            await self._send_error(conn, "bad_request", "'id' must be a string")
+        if await self._bad_id(conn, request_id):
             return
         if request_id is not None and request_id in conn.jobs:
             entry = self._inflight.get(conn.jobs[request_id])
@@ -539,11 +368,7 @@ class Router:
                 request_id=request_id,
             )
             return
-        if self._draining:
-            self.stats.inc("rejects.draining")
-            await self._send_error(
-                conn, "draining", "router is draining", request_id=request_id
-            )
+        if await self._refuse_draining(conn, request_id):
             return
         # full validation (graph decode included) runs off the loop;
         # it also yields the fingerprints that form the ring key
@@ -608,10 +433,7 @@ class Router:
         if request_id is not None:
             conn.jobs[request_id] = rid
         self.stats.inc("solves.accepted")
-        t0 = loop.time()
-        task = loop.create_task(self._drive_solve(entry, t0))
-        conn.tasks.add(task)
-        task.add_done_callback(conn.tasks.discard)
+        conn.spawn(self._drive_solve(entry, loop.time()))
 
     def _pick_backend(self, entry: _InFlight) -> Tuple[Optional[str], bool]:
         """The next placement for one solve: (name, was_rebalanced).
@@ -793,12 +615,38 @@ class Router:
                 return name
         return None
 
-    async def _on_session_op(
-        self, conn: _ClientConn, frame: Dict[str, Any], ftype: str
-    ) -> None:
+    async def _pinned_backend(
+        self, conn: Conn, sid: str, request_id: Optional[str]
+    ) -> Optional[str]:
+        """The live backend holding session ``sid``.
+
+        Returns None after answering ``unknown_session`` (never opened
+        here) or ``session_lost`` (its backend died) to the client.
+        """
+        name = self._pinned.get(sid)
+        if name is None:
+            code = (
+                "session_lost" if sid in self._lost_sessions else "unknown_session"
+            )
+            self.stats.inc(f"sessions.{code}")
+        elif not self.health[name].available:
+            self._mark_session_lost(sid)
+            code = "session_lost"
+        else:
+            return name
+        await self._send_error(
+            conn,
+            code,
+            f"session {sid!r} is not resident behind this router"
+            + ("; its backend died -- reopen it" if code == "session_lost" else ""),
+            request_id=request_id,
+        )
+        return None
+
+    async def _on_session_op(self, conn: Conn, frame: Dict[str, Any]) -> None:
+        ftype = frame["type"]
         request_id = frame.get("id")
-        if request_id is not None and not isinstance(request_id, str):
-            await self._send_error(conn, "bad_request", "'id' must be a string")
+        if await self._bad_id(conn, request_id):
             return
         try:
             sid = protocol.validate_session_id(frame)
@@ -807,11 +655,7 @@ class Router:
                 conn, exc.code, str(exc), request_id=request_id
             )
             return
-        if self._draining:
-            self.stats.inc("rejects.draining")
-            await self._send_error(
-                conn, "draining", "router is draining", request_id=request_id
-            )
+        if await self._refuse_draining(conn, request_id):
             return
         if ftype == "open-session":
             name = self._pinned.get(sid)
@@ -828,50 +672,20 @@ class Router:
                 )
                 return
         else:
-            name = self._pinned.get(sid)
+            name = await self._pinned_backend(conn, sid, request_id)
             if name is None:
-                code = (
-                    "session_lost"
-                    if sid in self._lost_sessions
-                    else "unknown_session"
-                )
-                self.stats.inc(f"sessions.{code}")
-                await self._send_error(
-                    conn,
-                    code,
-                    f"session {sid!r} is not resident behind this router"
-                    + (
-                        "; its backend died -- reopen it"
-                        if code == "session_lost"
-                        else ""
-                    ),
-                    request_id=request_id,
-                )
-                return
-            if not self.health[name].available:
-                self._mark_session_lost(sid)
-                await self._send_error(
-                    conn,
-                    "session_lost",
-                    f"backend holding session {sid!r} is down; its "
-                    "resident state is gone -- reopen the session",
-                    request_id=request_id,
-                )
                 return
         rid = f"rt-s{self._next_rid}"
         self._next_rid += 1
         wire = dict(frame)
         wire["id"] = rid
-        loop = asyncio.get_running_loop()
-        task = loop.create_task(
+        conn.spawn(
             self._drive_session_op(conn, request_id, sid, name, wire, ftype)
         )
-        conn.tasks.add(task)
-        task.add_done_callback(conn.tasks.discard)
 
     async def _drive_session_op(
         self,
-        conn: _ClientConn,
+        conn: Conn,
         request_id: Optional[str],
         sid: str,
         name: str,
@@ -937,7 +751,7 @@ class Router:
         await self._send(conn, out)
 
     async def _on_subscribe(
-        self, conn: _ClientConn, frame: Dict[str, Any]
+        self, conn: Conn, frame: Dict[str, Any]
     ) -> None:
         """Attach a passthrough pipe to the session's pinned backend.
 
@@ -958,63 +772,19 @@ class Router:
         except ProtocolError as exc:
             await self._send_error(conn, exc.code, str(exc), request_id=rid)
             return
-        name = self._pinned.get(sid)
-        if name is None:
-            code = (
-                "session_lost"
-                if sid in self._lost_sessions
-                else "unknown_session"
-            )
-            self.stats.inc(f"sessions.{code}")
-            await self._send_error(
-                conn,
-                code,
-                f"session {sid!r} is not resident behind this router",
-                request_id=rid,
-            )
-            return
-        if not self.health[name].available:
-            self._mark_session_lost(sid)
-            await self._send_error(
-                conn,
-                "session_lost",
-                f"backend holding session {sid!r} is down",
-                request_id=rid,
-            )
-            return
-        loop = asyncio.get_running_loop()
-        task = loop.create_task(self._subscribe_pipe(conn, frame, name))
-        conn.tasks.add(task)
-        task.add_done_callback(conn.tasks.discard)
+        name = await self._pinned_backend(conn, sid, rid)
+        if name is not None:
+            conn.spawn(self._subscribe_pipe(conn, frame, name))
 
     async def _subscribe_pipe(
-        self, conn: _ClientConn, frame: Dict[str, Any], name: str
+        self, conn: Conn, frame: Dict[str, Any], name: str
     ) -> None:
         rid, sid = frame["id"], frame.get("session")
-        link = self.links[name]
         writer = None
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(
-                    link.host, link.port, limit=self.config.max_frame_bytes
-                ),
-                self.config.probe_timeout_s,
+            reader, writer, _ = await self.links[name].dial(
+                self.config.probe_timeout_s
             )
-            writer.write(
-                protocol.encode_frame(
-                    {
-                        "type": "hello",
-                        "protocol": protocol.PROTOCOL,
-                        "client": "repro-router",
-                    }
-                )
-            )
-            await writer.drain()
-            hello_line = await asyncio.wait_for(
-                reader.readline(), self.config.probe_timeout_s
-            )
-            if not hello_line:
-                raise ConnectionError("backend closed during handshake")
             writer.write(protocol.encode_frame(frame))
             await writer.drain()
             self.stats.inc("sessions.subscribes")
@@ -1059,15 +829,11 @@ class Router:
     # ------------------------------------------------------------------
     # forwarded small frames
     # ------------------------------------------------------------------
-    async def _on_forwarded(
-        self, conn: _ClientConn, frame: Dict[str, Any], ftype: str
-    ) -> None:
+    async def _on_forwarded(self, conn: Conn, frame: Dict[str, Any]) -> None:
         """Relay status/cancel/checkpoint to the owning backend."""
-        request_id = frame.get("id")
-        if not isinstance(request_id, str):
-            await self._send_error(
-                conn, "bad_request", f"{ftype} needs an 'id' string"
-            )
+        ftype = frame["type"]
+        request_id = await self._required_id(conn, frame)
+        if request_id is None:
             return
         reply_type = "status" if ftype == "cancel" else ftype
         rid = conn.jobs.get(request_id)
@@ -1137,59 +903,7 @@ class Router:
             "backends": backends,
         }
 
-    # ------------------------------------------------------------------
-    # writing and teardown (same discipline as the server)
-    # ------------------------------------------------------------------
-    async def _send(self, conn: _ClientConn, frame: Dict[str, Any]) -> None:
-        if conn.closed:
-            return
-        data = protocol.encode_frame(frame)
-        try:
-            async with conn.write_lock:
-                conn.writer.write(data)
-                await conn.writer.drain()
-            self.stats.inc("frames.out")
-        except (ConnectionError, OSError):
-            conn.closed = True
-
-    async def _send_error(
-        self,
-        conn: _ClientConn,
-        code: str,
-        message: str,
-        request_id: Optional[str] = None,
-        retry_after_s: Optional[float] = None,
-    ) -> None:
-        self.stats.inc("errors.sent")
-        await self._send(
-            conn, protocol.error_frame(code, message, request_id, retry_after_s)
-        )
-
-    async def _oversized(self, conn: _ClientConn) -> None:
-        self.stats.inc("rejects.frame_too_large")
-        await self._send_error(
-            conn,
-            "frame_too_large",
-            f"frame exceeds max_frame_bytes={self.config.max_frame_bytes}",
-        )
-        await self._close_conn(conn)
-
-    async def _close_conn(self, conn: _ClientConn) -> None:
-        if conn.closed:
-            self._conns.discard(conn)
-            return
-        conn.closed = True
-        self._conns.discard(conn)
-        with contextlib.suppress(ConnectionError, OSError):
-            conn.writer.close()
-
-    async def _teardown_conn(self, conn: _ClientConn) -> None:
-        for task in list(conn.tasks):
-            task.cancel()
-        await self._close_conn(conn)
-
-
-class RouterThread:
+class RouterThread(EndpointThread):
     """Run a :class:`Router` on a background thread (tests, benchmarks).
 
     >>> backends = [("127.0.0.1", b1.port), ("127.0.0.1", b2.port)]
@@ -1202,37 +916,4 @@ class RouterThread:
 
     def __init__(self, config: RouterConfig) -> None:
         self.router = Router(config)
-        self._ready = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="solve-router", daemon=True
-        )
-
-    def _run(self) -> None:
-        async def _main() -> None:
-            await self.router.start()
-            self._ready.set()
-            await self.router.serve_until_drained()
-
-        try:
-            asyncio.run(_main())
-        finally:
-            self._ready.set()
-
-    def start(self, timeout_s: float = 10.0) -> "RouterThread":
-        self._thread.start()
-        if not self._ready.wait(timeout_s):
-            raise RuntimeError("router thread failed to start in time")
-        if self.router.port is None:
-            raise RuntimeError("router failed to bind (see log)")
-        return self
-
-    @property
-    def port(self) -> int:
-        assert self.router.port is not None
-        return self.router.port
-
-    def stop(self, timeout_s: float = 30.0) -> None:
-        loop = self.router._loop
-        if loop is not None and self._thread.is_alive():
-            loop.call_soon_threadsafe(self.router.begin_drain)
-        self._thread.join(timeout_s)
+        super().__init__(self.router, "solve-router")

@@ -7,11 +7,6 @@ concurrent searches -- see docs/ARCHITECTURE.md). ``bfs_search``
 configures the driver on the isolated launch schedule: one search,
 every kernel charged for it alone, exactly the schedule the paper's
 Algorithm 2 describes.
-
-The historical underscore helpers (``_chunk_slices``,
-``_expand_pairs``, ``_count_pass``, ``_output_pass``) moved to
-:mod:`repro.engine.passes`; they are re-exported here under their old
-names for backwards compatibility.
 """
 
 from __future__ import annotations
@@ -22,23 +17,11 @@ import numpy as np
 
 from ..engine.driver import BFSOutcome, LevelDriver
 from ..engine.problems import ProblemKind
-from ..engine.passes import (
-    chunk_slices as _chunk_slices,
-    count_pass as _count_pass,
-    expand_pairs as _expand_pairs,
-    output_pass as _output_pass,
-)
 from ..gpusim.device import Device
 from ..graph.csr import CSRGraph
 from .deadline import Deadline, as_deadline
 
 __all__ = ["BFSOutcome", "bfs_search"]
-
-# re-exported for callers that used the historical private names
-_chunk_slices = _chunk_slices
-_expand_pairs = _expand_pairs
-_count_pass = _count_pass
-_output_pass = _output_pass
 
 
 def bfs_search(

@@ -27,8 +27,6 @@ from ..engine.problems import ProblemKind
 from ..engine.sweep import (
     WindowedOutcome,
     auto_window_size,
-    order_groups as _order_groups,
-    split_range as _split_range,
     split_windows,
     window_sweep,
 )
@@ -39,10 +37,6 @@ from .config import WindowOrder
 from .deadline import Deadline
 
 __all__ = ["WindowedOutcome", "windowed_search", "auto_window_size", "split_windows"]
-
-# re-exported for callers that used the historical private names
-_order_groups = _order_groups
-_split_range = _split_range
 
 
 def windowed_search(

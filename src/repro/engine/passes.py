@@ -7,10 +7,6 @@ inner loops. They contain *no* device accounting -- the
 :class:`~repro.engine.driver.LevelDriver` charges the launches --
 which is what lets one pass implementation serve both the isolated
 (one search) and fused (merged concurrent-window) launch schedules.
-
-Moved here from ``repro.core.bfs`` (which re-exports them under their
-historical underscore names) so the search adapters no longer reach
-into each other's private helpers.
 """
 
 from __future__ import annotations

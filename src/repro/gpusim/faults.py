@@ -23,7 +23,7 @@ kind                raises                                         hook
 
 ``device-lost`` additionally marks the device lost: every subsequent
 launch/alloc raises :class:`~repro.errors.DeviceLostError` until the
-pool replaces the device (see ``repro.service.scheduler.DevicePool``).
+pool replaces the device (see ``repro.service.pool.DevicePool``).
 
 Injection is zero-overhead by default: a device without an injector
 performs exactly the charges it performs today, so model times are

@@ -23,11 +23,11 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import signal
-import threading
 from typing import Dict, Optional, Set, Tuple
 
 from ..log import get_logger
 from ..server import protocol
+from ..server.endpoint import EndpointThread
 from .plan import (
     KIND_CUT,
     KIND_DELAY,
@@ -303,12 +303,12 @@ class ChaosProxy:
             conn.abort()
 
 
-class ChaosProxyThread:
+class ChaosProxyThread(EndpointThread):
     """Run a :class:`ChaosProxy` on a background thread (tests, benches).
 
-    Mirrors :class:`~repro.server.server.ServerThread`: starts the
-    proxy's event loop on a daemon thread, waits for the port, stops
-    on demand.
+    The same harness as :class:`~repro.server.server.ServerThread`:
+    starts the proxy's event loop on a daemon thread, waits for the
+    port, stops on demand.
 
     >>> proxy = ChaosProxyThread(("127.0.0.1", server.port), plan)
     >>> proxy.start()
@@ -326,41 +326,17 @@ class ChaosProxyThread:
         self.proxy = ChaosProxy(
             upstream, plan, port=0, max_frame_bytes=max_frame_bytes
         )
-        self._ready = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="chaos-proxy", daemon=True
-        )
+        super().__init__(self.proxy, "chaos-proxy")
 
-    def _run(self) -> None:
-        async def _main() -> None:
-            await self.proxy.start()
-            self._ready.set()
-            await self.proxy.serve_until_stopped()
+    async def _serve(self) -> None:
+        await self.proxy.serve_until_stopped()
 
-        try:
-            asyncio.run(_main())
-        finally:
-            self._ready.set()
-
-    def start(self, timeout_s: float = 10.0) -> "ChaosProxyThread":
-        self._thread.start()
-        if not self._ready.wait(timeout_s):
-            raise RuntimeError("chaos proxy thread failed to start in time")
-        if self.proxy.port is None:
-            raise RuntimeError("chaos proxy failed to bind (see log)")
-        return self
-
-    @property
-    def port(self) -> int:
-        assert self.proxy.port is not None
-        return self.proxy.port
+    def _shutdown(self) -> None:
+        self.proxy.stop()
 
     @property
     def counters(self) -> Dict[str, int]:
         return dict(self.proxy.counters)
 
     def stop(self, timeout_s: float = 10.0) -> None:
-        loop = self.proxy._loop
-        if loop is not None and self._thread.is_alive():
-            loop.call_soon_threadsafe(self.proxy.stop)
-        self._thread.join(timeout_s)
+        super().stop(timeout_s)

@@ -8,6 +8,8 @@ synchronous client library (``repro client``):
   wire format, error-code table, and graph payload codecs;
 * :mod:`repro.server.bridge` -- the micro-batching worker-thread
   bridge that keeps solves off the event loop;
+* :mod:`repro.server.endpoint` -- the connection layer and thread
+  harness the server shares with the cluster router;
 * :mod:`repro.server.server` -- the asyncio TCP server (framing,
   backpressure, rate limiting, graceful drain);
 * :mod:`repro.server.client` -- the blocking client with retry and

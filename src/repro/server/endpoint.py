@@ -1,0 +1,462 @@
+"""The ``repro-wire/1`` connection layer shared by the server and the router.
+
+:class:`WireEndpoint` owns everything about a client connection that
+does not depend on what the endpoint does with a frame:
+
+* the listener, and the connection cap -- past ``max_conns`` (or while
+  draining) a new socket gets one retriable ``too_many_connections``
+  (``draining``) error frame and is closed;
+* the hello handshake, with its timeout and protocol check;
+* framed reads under ``max_frame_bytes`` -- an oversized line gets
+  ``frame_too_large`` and a close (framing cannot be trusted after
+  it), an undecodable one gets ``bad_frame`` and the connection stays;
+* writes under ``writer.drain()`` with bounded transport buffers, so
+  one unread socket stalls only its own connection task;
+* error frames, graceful drain (:meth:`~WireEndpoint.begin_drain`,
+  also on SIGTERM/SIGINT under :meth:`~WireEndpoint.run`), and a
+  frame-type -> handler table that answers ``shutdown``, ``stats``, a
+  repeated ``hello`` and unknown frame types in one place.
+
+A subclass supplies its hello and bye frames, its ``stats`` frame, the
+body of its drain, and one handler per frame type it serves.
+:class:`EndpointThread` runs any endpoint on a background thread for
+tests and benchmarks.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import contextlib
+import signal
+import threading
+from typing import Any, Awaitable, Callable, Dict, Optional, Set
+
+from ..errors import ProtocolError
+from ..log import get_logger
+from . import protocol
+from .stats import ServerStats
+
+__all__ = ["Conn", "WireEndpoint", "EndpointThread"]
+
+log = get_logger("server.endpoint")
+
+Handler = Callable[["Conn", Dict[str, Any]], Awaitable[None]]
+
+
+class Conn:
+    """One client connection: writer, write lock, outstanding requests.
+
+    Endpoints hang their own per-connection state on it from
+    :meth:`WireEndpoint._conn_opened` (the server's rate bucket and
+    subscriptions).
+    """
+
+    def __init__(self, cid: int, writer: asyncio.StreamWriter) -> None:
+        self.cid = cid
+        self.writer = writer
+        self.write_lock = asyncio.Lock()
+        #: client request id -> endpoint job id, for outstanding solves
+        self.jobs: Dict[str, str] = {}
+        self.tasks: Set[asyncio.Task] = set()
+        self.closed = False
+
+    def spawn(self, coro) -> asyncio.Task:
+        """Run ``coro`` as a task this connection cancels on teardown."""
+        task = asyncio.get_running_loop().create_task(coro)
+        self.tasks.add(task)
+        task.add_done_callback(self.tasks.discard)
+        return task
+
+
+class WireEndpoint:
+    """An asyncio TCP listener speaking ``repro-wire/1`` to its clients.
+
+    ``config`` needs ``host``, ``port``, ``max_conns``,
+    ``max_frame_bytes``, ``handshake_timeout_s`` and ``drain_timeout_s``.
+    """
+
+    #: how the endpoint names itself in error messages
+    role = "endpoint"
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self.stats = ServerStats()
+        self.port: Optional[int] = None  #: bound port, known after start()
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._done: Optional[asyncio.Event] = None
+        self._draining = False
+        self._drain_task: Optional[asyncio.Task] = None
+        self._conns: Set[Conn] = set()
+        self._next_cid = 0
+        #: frame type -> handler; subclasses add theirs
+        self._handlers: Dict[str, Handler] = {
+            "hello": self._on_hello,
+            "shutdown": self._on_shutdown,
+            "stats": self._on_stats,
+        }
+
+    # ------------------------------------------------------------------
+    # what a subclass supplies
+    # ------------------------------------------------------------------
+    async def _hello(self) -> Dict[str, Any]:
+        """The hello frame answering a client's hello."""
+        raise NotImplementedError
+
+    def _bye_frame(self) -> Dict[str, Any]:
+        """The reply to a ``shutdown`` frame."""
+        raise NotImplementedError
+
+    def stats_frame(self) -> Dict[str, Any]:
+        """The reply to a ``stats`` frame."""
+        raise NotImplementedError
+
+    def _started(self) -> None:
+        """Called on the loop once the listener is bound."""
+
+    async def _drain_body(self) -> None:
+        """The drain between closing the listener and the connections."""
+        await self._wait_conn_tasks()
+
+    def _conn_opened(self, conn: Conn) -> None:
+        """Called when a connection is admitted (before the handshake)."""
+
+    def _conn_closed(self, conn: Conn) -> None:
+        """Called when a connection ends, before its tasks are cancelled."""
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    async def start(self) -> None:
+        """Bind the listener; ``self.port`` is valid afterwards."""
+        self._loop = asyncio.get_running_loop()
+        self._done = asyncio.Event()
+        self._server = await asyncio.start_server(
+            self._handle_conn,
+            self.config.host,
+            self.config.port,
+            limit=self.config.max_frame_bytes,
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+        log.info(
+            "%s: repro-wire/1 on %s:%d", self.role, self.config.host, self.port
+        )
+        self._started()
+
+    async def serve_until_drained(self) -> None:
+        """Run until a drain (signal or ``shutdown`` frame) completes."""
+        if self._server is None:
+            await self.start()
+        assert self._done is not None
+        await self._done.wait()
+
+    def run(self, install_signal_handlers: bool = True) -> None:
+        """Blocking entry point used by the CLI."""
+
+        async def _main() -> None:
+            await self.start()
+            if install_signal_handlers:
+                loop = asyncio.get_running_loop()
+                for sig in (signal.SIGTERM, signal.SIGINT):
+                    with contextlib.suppress(NotImplementedError):
+                        loop.add_signal_handler(sig, self.begin_drain)
+            await self.serve_until_drained()
+
+        asyncio.run(_main())
+
+    def begin_drain(self) -> None:
+        """Start a graceful drain; idempotent, must run on the loop."""
+        if self._draining:
+            return
+        self._draining = True
+        log.info("%s drain: stopping listener", self.role)
+        assert self._loop is not None
+        # the loop holds tasks weakly: keep the drain alive until it ends
+        self._drain_task = self._loop.create_task(self._drain())
+
+    async def _drain(self) -> None:
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+        await self._drain_body()
+        for conn in list(self._conns):
+            await self._close_conn(conn)
+        assert self._done is not None
+        self._done.set()
+        log.info("%s drain: complete", self.role)
+
+    async def _wait_conn_tasks(self) -> None:
+        """Let in-flight replies flush, up to the drain timeout."""
+        tasks = [t for conn in list(self._conns) for t in list(conn.tasks)]
+        if tasks:
+            await asyncio.wait(tasks, timeout=self.config.drain_timeout_s)
+
+    # ------------------------------------------------------------------
+    # connection handling
+    # ------------------------------------------------------------------
+    async def _handle_conn(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        self.stats.inc("connections.total")
+        conn = Conn(self._next_cid, writer)
+        self._next_cid += 1
+        if self._draining or len(self._conns) >= self.config.max_conns:
+            code = "draining" if self._draining else "too_many_connections"
+            self.stats.inc(f"rejects.{code}")
+            with contextlib.suppress(ConnectionError, OSError):
+                writer.write(
+                    protocol.encode_frame(
+                        protocol.error_frame(code, f"connection refused: {code}")
+                    )
+                )
+                await writer.drain()
+            writer.close()
+            return
+        # bound the kernel-side write buffer so a slow reader exerts
+        # backpressure on its own drain() instead of growing memory
+        with contextlib.suppress(Exception):
+            writer.transport.set_write_buffer_limits(high=256 * 1024)
+        self._conns.add(conn)
+        self._conn_opened(conn)
+        try:
+            if await self._handshake(conn, reader):
+                await self._read_loop(conn, reader)
+        except (ConnectionError, OSError, asyncio.IncompleteReadError):
+            pass  # client went away; cleanup below
+        finally:
+            self._conn_closed(conn)
+            for task in list(conn.tasks):
+                task.cancel()
+            await self._close_conn(conn)
+
+    async def _handshake(self, conn: Conn, reader: asyncio.StreamReader) -> bool:
+        try:
+            line = await asyncio.wait_for(
+                reader.readline(), self.config.handshake_timeout_s
+            )
+        except asyncio.TimeoutError:
+            await self._send_error(
+                conn, "handshake_required", "no hello frame before timeout"
+            )
+            return False
+        except ValueError:
+            await self._oversized(conn)
+            return False
+        if not line:
+            return False
+        self.stats.inc("frames.in")
+        try:
+            frame = protocol.decode_frame(line)
+        except ProtocolError as exc:
+            await self._send_error(conn, exc.code, str(exc))
+            return False
+        if frame.get("type") != "hello":
+            await self._send_error(
+                conn,
+                "handshake_required",
+                f"first frame must be hello, got {frame.get('type')!r}",
+            )
+            return False
+        if frame.get("protocol") != protocol.PROTOCOL:
+            await self._send_error(
+                conn,
+                "unsupported_protocol",
+                f"{self.role} speaks {protocol.PROTOCOL}, "
+                f"client offered {frame.get('protocol')!r}",
+            )
+            return False
+        await self._send(conn, await self._hello())
+        return True
+
+    async def _read_loop(self, conn: Conn, reader: asyncio.StreamReader) -> None:
+        while not conn.closed:
+            try:
+                line = await reader.readline()
+            except ValueError:
+                # the stream buffer overflowed: an oversized frame (or
+                # newline-free garbage); framing is unrecoverable
+                await self._oversized(conn)
+                return
+            if not line:
+                return  # EOF
+            self.stats.inc("frames.in")
+            try:
+                frame = protocol.decode_frame(line)
+            except ProtocolError as exc:
+                # newline framing is still intact after a bad line, so
+                # answer and keep the connection
+                self.stats.inc("rejects.bad_frame")
+                await self._send_error(conn, exc.code, str(exc))
+                continue
+            handler = self._handlers.get(frame["type"])
+            if handler is None:
+                self.stats.inc("rejects.unknown_type")
+                await self._send_error(
+                    conn,
+                    "unknown_type",
+                    f"unknown frame type {frame['type']!r}",
+                    request_id=frame.get("id"),
+                )
+                continue
+            await handler(conn, frame)
+
+    async def _on_hello(self, conn: Conn, frame: Dict[str, Any]) -> None:
+        # a redundant hello is harmless; answer it again
+        await self._send(conn, await self._hello())
+
+    async def _on_shutdown(self, conn: Conn, frame: Dict[str, Any]) -> None:
+        await self._send(conn, self._bye_frame())
+        self.begin_drain()
+
+    async def _on_stats(self, conn: Conn, frame: Dict[str, Any]) -> None:
+        await self._send(conn, self.stats_frame())
+
+    async def _bad_id(self, conn: Conn, rid) -> bool:
+        """Answer a non-string ``id`` with ``bad_request``."""
+        if rid is None or isinstance(rid, str):
+            return False
+        await self._send_error(conn, "bad_request", "'id' must be a string")
+        return True
+
+    async def _required_id(
+        self, conn: Conn, frame: Dict[str, Any]
+    ) -> Optional[str]:
+        """The frame's ``id`` string, or None after answering it is missing."""
+        rid = frame.get("id")
+        if isinstance(rid, str):
+            return rid
+        await self._send_error(
+            conn, "bad_request", f"{frame['type']} needs an 'id' string"
+        )
+        return None
+
+    async def _refuse_draining(self, conn: Conn, rid) -> bool:
+        """Answer ``draining`` to new work once a drain has begun."""
+        if not self._draining:
+            return False
+        self.stats.inc("rejects.draining")
+        await self._send_error(
+            conn, "draining", f"{self.role} is draining", request_id=rid
+        )
+        return True
+
+    # ------------------------------------------------------------------
+    # writing and closing
+    # ------------------------------------------------------------------
+    async def _send(self, conn: Conn, frame: Dict[str, Any]) -> None:
+        if conn.closed:
+            return
+        data = protocol.encode_frame(frame)
+        try:
+            async with conn.write_lock:
+                conn.writer.write(data)
+                # backpressure point: a slow client stalls only this
+                # coroutine, never the loop or other connections
+                await conn.writer.drain()
+            self.stats.inc("frames.out")
+        except (ConnectionError, OSError):
+            conn.closed = True
+
+    async def _send_error(
+        self,
+        conn: Conn,
+        code: str,
+        message: str,
+        request_id: Optional[str] = None,
+        retry_after_s: Optional[float] = None,
+    ) -> None:
+        self.stats.inc("errors.sent")
+        await self._send(
+            conn, protocol.error_frame(code, message, request_id, retry_after_s)
+        )
+
+    async def _oversized(self, conn: Conn) -> None:
+        self.stats.inc("rejects.frame_too_large")
+        await self._send_error(
+            conn,
+            "frame_too_large",
+            f"frame exceeds max_frame_bytes={self.config.max_frame_bytes}",
+        )
+        await self._close_conn(conn)
+
+    async def _close_conn(self, conn: Conn) -> None:
+        self._conns.discard(conn)
+        if conn.closed:
+            return
+        conn.closed = True
+        with contextlib.suppress(ConnectionError, OSError):
+            conn.writer.close()
+
+
+class EndpointThread:
+    """Run an endpoint's event loop on a background daemon thread.
+
+    The in-process harness of the test suite and the benchmarks:
+    :meth:`start` returns once the port is bound (or raises if binding
+    failed), :meth:`stop` drains the endpoint and joins the thread.
+    Work is only ever scheduled on the loop while the endpoint runs, so
+    :meth:`stop` is safe after a failed :meth:`start` and after the
+    endpoint drained on its own.
+    """
+
+    def __init__(self, endpoint, name: str) -> None:
+        self.endpoint = endpoint
+        self._ready = threading.Event()
+        self._lock = threading.Lock()
+        #: the running loop; None before the endpoint starts and once
+        #: it finished (asyncio.run closes the loop right after)
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._error: Optional[BaseException] = None
+        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
+
+    async def _serve(self) -> None:
+        """Run until the endpoint is done."""
+        await self.endpoint.serve_until_drained()
+
+    def _shutdown(self) -> None:
+        """Runs on the loop when :meth:`stop` is called."""
+        self.endpoint.begin_drain()
+
+    def _run(self) -> None:
+        async def _main() -> None:
+            with self._lock:
+                self._loop = asyncio.get_running_loop()
+            try:
+                await self.endpoint.start()
+                self._ready.set()
+                await self._serve()
+            finally:
+                with self._lock:
+                    self._loop = None
+
+        try:
+            asyncio.run(_main())
+        except Exception as exc:
+            self._error = exc
+            log.exception("%s stopped with an error", self._thread.name)
+        finally:
+            self._ready.set()  # unblock start() even on bind failure
+
+    def start(self, timeout_s: float = 10.0) -> "EndpointThread":
+        name = self._thread.name
+        self._thread.start()
+        if not self._ready.wait(timeout_s):
+            raise RuntimeError(f"{name} thread failed to start in time")
+        if self.endpoint.port is None:
+            raise RuntimeError(f"{name} failed to bind: {self._error}")
+        return self
+
+    @property
+    def port(self) -> int:
+        assert self.endpoint.port is not None
+        return self.endpoint.port
+
+    def _call_soon(self, fn: Callable[[], None]) -> None:
+        """Schedule ``fn`` on the endpoint's loop if it is still running."""
+        with self._lock:
+            if self._loop is not None:
+                self._loop.call_soon_threadsafe(fn)
+
+    def stop(self, timeout_s: float = 30.0) -> None:
+        self._call_soon(self._shutdown)
+        self._thread.join(timeout_s)

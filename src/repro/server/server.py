@@ -8,7 +8,8 @@ worker thread through the existing service stack, so a concurrent
 ``stats`` frame answers immediately even while a heavy graph is mid
 search.
 
-Defence layers, outermost first:
+Defence layers, outermost first (the first two and the fifth live in
+:class:`~repro.server.endpoint.WireEndpoint`, shared with the router):
 
 1. **connection cap** -- past ``max_conns``, new sockets get one
    retriable ``too_many_connections`` error frame and are closed;
@@ -35,11 +36,9 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
-import signal
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional
 
 from .. import __version__
 from ..errors import ProtocolError, ServerError, SessionError
@@ -48,8 +47,8 @@ from ..stream import GraphSession, SessionManager
 from ..trace import NULL_TRACER, CounterTracer
 from . import protocol
 from .bridge import BridgeQueueFull, SolveBridge
+from .endpoint import Conn, EndpointThread, WireEndpoint
 from .limiter import TokenBucket
-from .stats import ServerStats
 
 __all__ = ["ServerConfig", "SolveServer", "ServerThread"]
 
@@ -109,22 +108,6 @@ class _DedupEntry:
         self.max_report = max_report
 
 
-class _Conn:
-    """Per-connection state: writer lock, rate bucket, job bookkeeping."""
-
-    def __init__(self, cid: int, writer: asyncio.StreamWriter, config: ServerConfig):
-        self.cid = cid
-        self.writer = writer
-        self.write_lock = asyncio.Lock()
-        self.bucket = TokenBucket(config.rate, config.burst)
-        #: client request id -> server job id, for outstanding solves
-        self.jobs: Dict[str, str] = {}
-        self.tasks: Set[asyncio.Task] = set()
-        #: session ids this connection subscribed to (teardown cleanup)
-        self.subs: Set[str] = set()
-        self.closed = False
-
-
 class _Subscriber:
     """One live ``subscribe`` registration on a session.
 
@@ -137,26 +120,21 @@ class _Subscriber:
 
     __slots__ = ("conn", "sub_id", "last_epoch")
 
-    def __init__(self, conn: _Conn, sub_id: str, last_epoch: int) -> None:
+    def __init__(self, conn: Conn, sub_id: str, last_epoch: int) -> None:
         self.conn = conn
         self.sub_id = sub_id
         self.last_epoch = last_epoch
 
 
-class SolveServer:
+class SolveServer(WireEndpoint):
     """Asyncio TCP server bridging ``repro-wire/1`` onto a SolveService."""
 
+    role = "server"
+
     def __init__(self, service, config: Optional[ServerConfig] = None) -> None:
+        super().__init__(config if config is not None else ServerConfig())
         self.service = service
-        self.config = config if config is not None else ServerConfig()
-        self.stats = ServerStats()
         self.bridge = SolveBridge(service, max_queue=self.config.queue_depth)
-        self.port: Optional[int] = None  #: bound port, known after start()
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._done: Optional[asyncio.Event] = None
-        self._draining = False
-        self._conns: Set[_Conn] = set()
         #: request_id -> _DedupEntry, LRU-ordered (bounded idempotency)
         self._dedup: "OrderedDict[str, _DedupEntry]" = OrderedDict()
         #: resident streaming sessions; all registry *writes* happen on
@@ -168,54 +146,34 @@ class SolveServer:
         self._push_locks: Dict[str, asyncio.Lock] = {}
         #: worker-thread-safe id source for session-internal solves
         self._session_seq = itertools.count()
-        self._next_cid = 0
         self._next_job = 0
+        self._handlers.update(
+            {
+                "solve": self._on_solve,
+                "status": self._on_job_query,
+                "cancel": self._on_job_query,
+                "checkpoint": self._on_job_query,
+                "open-session": self._on_open_session,
+                "mutate": self._on_mutate,
+                "subscribe": self._on_subscribe,
+                "close-session": self._on_close_session,
+            }
+        )
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Bind the listener; ``self.port`` is valid afterwards."""
-        self._loop = asyncio.get_running_loop()
-        self._done = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_conn,
-            self.config.host,
-            self.config.port,
-            limit=self.config.max_frame_bytes,
+    async def _hello(self) -> Dict[str, Any]:
+        return protocol.hello_frame(
+            self.config.max_frame_bytes, f"repro/{__version__}"
         )
-        self.port = self._server.sockets[0].getsockname()[1]
-        log.info("serving repro-wire/1 on %s:%d", self.config.host, self.port)
 
-    async def serve_until_drained(self) -> None:
-        """Run until a drain (signal or ``shutdown`` frame) completes."""
-        if self._server is None:
-            await self.start()
-        assert self._done is not None
-        await self._done.wait()
-
-    def run(self, install_signal_handlers: bool = True) -> None:
-        """Blocking entry point used by ``repro serve``."""
-
-        async def _main() -> None:
-            await self.start()
-            if install_signal_handlers:
-                loop = asyncio.get_running_loop()
-                for sig in (signal.SIGTERM, signal.SIGINT):
-                    with contextlib.suppress(NotImplementedError):
-                        loop.add_signal_handler(sig, self.begin_drain)
-            await self.serve_until_drained()
-
-        asyncio.run(_main())
-
-    def begin_drain(self) -> None:
-        """Start a graceful drain; idempotent, must run on the loop."""
-        if self._draining:
-            return
-        self._draining = True
-        log.info("drain: stopping listener, rejecting queued jobs")
-        assert self._loop is not None
-        self._loop.create_task(self._drain())
+    def _bye_frame(self) -> Dict[str, Any]:
+        return {
+            "type": "bye",
+            "in_flight": self.bridge.in_flight,
+            "queued": self.bridge.queue_depth,
+        }
 
     def kill(self) -> None:
         """Crash the server: abort every socket, no drain, no goodbyes.
@@ -237,10 +195,7 @@ class SolveServer:
             self._done.set()
         log.info("killed: all connections aborted")
 
-    async def _drain(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _drain_body(self) -> None:
         loop = asyncio.get_running_loop()
         # queued jobs fail fast (retriable error frames go out through
         # their waiting tasks); the in-flight batch runs to completion
@@ -253,169 +208,73 @@ class SolveServer:
                 self.config.drain_timeout_s,
             )
         # let result frames flush to still-connected clients
-        tasks = [t for conn in list(self._conns) for t in list(conn.tasks)]
-        if tasks:
-            await asyncio.wait(tasks, timeout=self.config.drain_timeout_s)
-        for conn in list(self._conns):
-            await self._close_conn(conn)
-        assert self._done is not None
-        self._done.set()
-        log.info("drain: complete")
+        await self._wait_conn_tasks()
+
+    def _conn_opened(self, conn: Conn) -> None:
+        conn.bucket = TokenBucket(self.config.rate, self.config.burst)
+        #: session ids this connection subscribed to (teardown cleanup)
+        conn.subs = set()
+
+    def _conn_closed(self, conn: Conn) -> None:
+        """Disconnect cleanup: cancel this connection's queued jobs.
+
+        A mid-solve disconnect must not wedge a worker: still-queued
+        jobs are cancelled outright; a job already inside the service
+        batch runs to completion (its result frame write is a no-op on
+        the closed socket) and its worker returns to the pool.
+        """
+        for job_id in list(conn.jobs.values()):
+            if self.bridge.cancel(job_id):
+                self.stats.inc("solves.cancelled_on_disconnect")
+        # subscriptions die with the socket; the sessions themselves
+        # stay resident (a reconnecting client re-subscribes by id)
+        for sid in list(conn.subs):
+            subs = self._subscribers.get(sid)
+            if subs is not None:
+                subs[:] = [s for s in subs if s.conn is not conn]
+                if not subs:
+                    del self._subscribers[sid]
+        conn.subs.clear()
 
     # ------------------------------------------------------------------
-    # connection handling
+    # refusals shared by the solve and session frames
     # ------------------------------------------------------------------
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.stats.inc("connections.total")
-        conn = _Conn(self._next_cid, writer, self.config)
-        self._next_cid += 1
-        if self._draining or len(self._conns) >= self.config.max_conns:
-            code = "draining" if self._draining else "too_many_connections"
-            self.stats.inc(f"rejects.{code}")
-            with contextlib.suppress(ConnectionError, OSError):
-                writer.write(
-                    protocol.encode_frame(
-                        protocol.error_frame(code, f"connection refused: {code}")
-                    )
-                )
-                await writer.drain()
-            writer.close()
-            return
-        # bound the kernel-side write buffer so a slow reader exerts
-        # backpressure on its own drain() instead of growing memory
-        with contextlib.suppress(Exception):
-            writer.transport.set_write_buffer_limits(high=256 * 1024)
-        self._conns.add(conn)
-        try:
-            if await self._handshake(conn, reader):
-                await self._read_loop(conn, reader)
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            pass  # client went away; cleanup below
-        finally:
-            await self._teardown_conn(conn)
-
-    async def _handshake(self, conn: _Conn, reader: asyncio.StreamReader) -> bool:
-        try:
-            line = await asyncio.wait_for(
-                reader.readline(), self.config.handshake_timeout_s
-            )
-        except asyncio.TimeoutError:
-            await self._send_error(
-                conn, "handshake_required", "no hello frame before timeout"
-            )
+    async def _rate_limited(self, conn: Conn, rid) -> bool:
+        """Spend one token of the connection's bucket, or answer why not."""
+        ok, retry_after = conn.bucket.try_acquire()
+        if ok:
             return False
-        except ValueError:
-            await self._oversized(conn)
-            return False
-        if not line:
-            return False
-        self.stats.inc("frames.in")
-        try:
-            frame = protocol.decode_frame(line)
-        except ProtocolError as exc:
-            await self._send_error(conn, exc.code, str(exc))
-            return False
-        if frame.get("type") != "hello":
-            await self._send_error(
-                conn,
-                "handshake_required",
-                f"first frame must be hello, got {frame.get('type')!r}",
-            )
-            return False
-        if frame.get("protocol") != protocol.PROTOCOL:
-            await self._send_error(
-                conn,
-                "unsupported_protocol",
-                f"server speaks {protocol.PROTOCOL}, "
-                f"client offered {frame.get('protocol')!r}",
-            )
-            return False
-        await self._send(
+        self.stats.inc("rejects.rate_limited")
+        await self._send_error(
             conn,
-            protocol.hello_frame(
-                self.config.max_frame_bytes, f"repro/{__version__}"
-            ),
+            "rate_limited",
+            f"connection rate limit "
+            f"({self.config.rate:g}/s, burst {self.config.burst}) exceeded",
+            request_id=rid,
+            retry_after_s=retry_after,
         )
         return True
 
-    async def _read_loop(self, conn: _Conn, reader: asyncio.StreamReader) -> None:
-        while not conn.closed:
-            try:
-                line = await reader.readline()
-            except ValueError:
-                # the stream buffer overflowed: an oversized frame (or
-                # newline-free garbage); framing is unrecoverable
-                await self._oversized(conn)
-                return
-            if not line:
-                return  # EOF
-            self.stats.inc("frames.in")
-            try:
-                frame = protocol.decode_frame(line)
-            except ProtocolError as exc:
-                # newline framing is still intact after a bad line, so
-                # answer and keep the connection
-                self.stats.inc("rejects.bad_frame")
-                await self._send_error(conn, exc.code, str(exc))
-                continue
-            await self._dispatch(conn, frame)
-
-    async def _dispatch(self, conn: _Conn, frame: Dict[str, Any]) -> None:
-        ftype = frame["type"]
-        if ftype == "solve":
-            await self._on_solve(conn, frame)
-        elif ftype == "stats":
-            await self._send(conn, self._stats_frame())
-        elif ftype == "status":
-            await self._on_status(conn, frame)
-        elif ftype == "cancel":
-            await self._on_cancel(conn, frame)
-        elif ftype == "checkpoint":
-            await self._on_checkpoint(conn, frame)
-        elif ftype == "open-session":
-            await self._on_open_session(conn, frame)
-        elif ftype == "mutate":
-            await self._on_mutate(conn, frame)
-        elif ftype == "subscribe":
-            await self._on_subscribe(conn, frame)
-        elif ftype == "close-session":
-            await self._on_close_session(conn, frame)
-        elif ftype == "shutdown":
-            await self._send(
-                conn,
-                {
-                    "type": "bye",
-                    "in_flight": self.bridge.in_flight,
-                    "queued": self.bridge.queue_depth,
-                },
-            )
-            self.begin_drain()
-        elif ftype == "hello":
-            # a redundant hello is harmless; answer it again
-            await self._send(
-                conn,
-                protocol.hello_frame(
-                    self.config.max_frame_bytes, f"repro/{__version__}"
-                ),
-            )
-        else:
-            self.stats.inc("rejects.unknown_type")
+    async def _to_bridge(self, conn: Conn, rid, submit, *args):
+        """Queue work on the bridge; the future, or None once refused."""
+        try:
+            return submit(*args)
+        except BridgeQueueFull as exc:
+            self.stats.inc("rejects.server_busy")
             await self._send_error(
-                conn,
-                "unknown_type",
-                f"unknown frame type {ftype!r}",
-                request_id=frame.get("id"),
+                conn, "server_busy", str(exc), request_id=rid, retry_after_s=0.1
             )
+        except ServerError as exc:
+            self.stats.inc(f"rejects.{exc.code}")
+            await self._send_error(conn, exc.code, str(exc), request_id=rid)
+        return None
 
     # ------------------------------------------------------------------
     # solve path
     # ------------------------------------------------------------------
-    async def _on_solve(self, conn: _Conn, frame: Dict[str, Any]) -> None:
+    async def _on_solve(self, conn: Conn, frame: Dict[str, Any]) -> None:
         request_id = frame.get("id")
-        if request_id is not None and not isinstance(request_id, str):
-            await self._send_error(conn, "bad_request", "'id' must be a string")
+        if await self._bad_id(conn, request_id):
             return
         try:
             dedup_key = protocol.validate_request_key(frame)
@@ -439,23 +298,9 @@ class SolveServer:
                 request_id=request_id,
             )
             return
-        if self._draining:
-            self.stats.inc("rejects.draining")
-            await self._send_error(
-                conn, "draining", "server is draining", request_id=request_id
-            )
-            return
-        ok, retry_after = conn.bucket.try_acquire()
-        if not ok:
-            self.stats.inc("rejects.rate_limited")
-            await self._send_error(
-                conn,
-                "rate_limited",
-                f"connection rate limit "
-                f"({self.config.rate:g}/s, burst {self.config.burst}) exceeded",
-                request_id=request_id,
-                retry_after_s=retry_after,
-            )
+        if await self._refuse_draining(
+            conn, request_id
+        ) or await self._rate_limited(conn, request_id):
             return
         # graph decode can be MiBs of base64+gzip+parsing: off the loop
         loop = asyncio.get_running_loop()
@@ -482,21 +327,10 @@ class SolveServer:
         job_id = f"conn{conn.cid}-job{self._next_job}"
         self._next_job += 1
         request.job_id = job_id
-        try:
-            future = self.bridge.submit(request)
-        except BridgeQueueFull as exc:
-            self.stats.inc("rejects.server_busy")
-            await self._send_error(
-                conn,
-                "server_busy",
-                str(exc),
-                request_id=request_id,
-                retry_after_s=0.1,
-            )
-            return
-        except ServerError as exc:
-            self.stats.inc(f"rejects.{exc.code}")
-            await self._send_error(conn, exc.code, str(exc), request_id=request_id)
+        future = await self._to_bridge(
+            conn, request_id, self.bridge.submit, request
+        )
+        if future is None:
             return
         self.stats.inc("solves.accepted")
         if request_id is not None:
@@ -508,15 +342,13 @@ class SolveServer:
             self._dedup.move_to_end(dedup_key)
             self._prune_dedup()
         t0 = loop.time()
-        task = loop.create_task(
+        conn.spawn(
             self._await_result(
                 conn, request_id, job_id, future, max_report, t0, entry
             )
         )
-        conn.tasks.add(task)
-        task.add_done_callback(conn.tasks.discard)
 
-    async def _dedup_hit(self, conn: _Conn, request_id, dedup_key: str) -> bool:
+    async def _dedup_hit(self, conn: Conn, request_id, dedup_key: str) -> bool:
         """Answer a known ``request_id`` from the dedup table.
 
         Completed entries replay the cached reply; in-flight entries
@@ -538,13 +370,10 @@ class SolveServer:
             return True
         self.stats.inc("dedup.joins")
         self._service_counter("service.dedup.joins")
-        loop = asyncio.get_running_loop()
-        task = loop.create_task(self._join_result(conn, request_id, entry))
-        conn.tasks.add(task)
-        task.add_done_callback(conn.tasks.discard)
+        conn.spawn(self._join_result(conn, request_id, entry))
         return True
 
-    async def _join_result(self, conn: _Conn, request_id, entry) -> None:
+    async def _join_result(self, conn: Conn, request_id, entry) -> None:
         """Deliver an in-flight job's eventual reply to a duplicate."""
         try:
             record = await asyncio.wrap_future(entry.future)
@@ -604,59 +433,34 @@ class SolveServer:
     # ------------------------------------------------------------------
     # small frames
     # ------------------------------------------------------------------
-    async def _on_status(self, conn: _Conn, frame: Dict[str, Any]) -> None:
-        request_id = frame.get("id")
-        if not isinstance(request_id, str):
-            await self._send_error(conn, "bad_request", "status needs an 'id' string")
-            return
-        job_id = conn.jobs.get(request_id)
-        state = self.bridge.state(job_id) if job_id is not None else "unknown"
-        await self._send(conn, {"type": "status", "id": request_id, "state": state})
+    async def _on_job_query(self, conn: Conn, frame: Dict[str, Any]) -> None:
+        """Answer ``status``, ``cancel`` and ``checkpoint`` about one solve.
 
-    async def _on_cancel(self, conn: _Conn, frame: Dict[str, Any]) -> None:
-        request_id = frame.get("id")
-        if not isinstance(request_id, str):
-            await self._send_error(conn, "bad_request", "cancel needs an 'id' string")
-            return
-        job_id = conn.jobs.get(request_id)
-        cancelled = self.bridge.cancel(job_id) if job_id is not None else False
-        state = self.bridge.state(job_id) if job_id is not None else "unknown"
-        await self._send(
-            conn,
-            {
-                "type": "status",
-                "id": request_id,
-                "state": state,
-                "cancelled": cancelled,
-            },
-        )
-
-    async def _on_checkpoint(self, conn: _Conn, frame: Dict[str, Any]) -> None:
-        """Report the latest resumable state of an in-flight solve.
-
-        The reply carries the newest completed-window checkpoint (or
-        null when the job is unknown, finished, or not resumable) --
-        this is what the cluster router polls so it can fail a dying
-        backend's solve over to a replica (docs/CLUSTER.md).
+        ``cancel`` answers with a ``status`` frame that also says whether
+        the queued job was cancelled. ``checkpoint`` carries the newest
+        completed-window checkpoint (or null when the job is unknown,
+        finished, or not resumable) -- this is what the cluster router
+        polls so it can fail a dying backend's solve over to a replica
+        (docs/CLUSTER.md).
         """
-        request_id = frame.get("id")
-        if not isinstance(request_id, str):
-            await self._send_error(
-                conn, "bad_request", "checkpoint needs an 'id' string"
-            )
+        ftype = frame["type"]
+        request_id = await self._required_id(conn, frame)
+        if request_id is None:
             return
         job_id = conn.jobs.get(request_id)
-        state = self.bridge.state(job_id) if job_id is not None else "unknown"
-        ckpt = self.bridge.checkpoint(job_id) if job_id is not None else None
-        await self._send(
-            conn,
-            {
-                "type": "checkpoint",
-                "id": request_id,
-                "state": state,
-                "checkpoint": ckpt.to_dict() if ckpt is not None else None,
-            },
-        )
+        known = job_id is not None
+        cancelled = ftype == "cancel" and known and self.bridge.cancel(job_id)
+        reply = {
+            "type": "status" if ftype == "cancel" else ftype,
+            "id": request_id,
+            "state": self.bridge.state(job_id) if known else "unknown",
+        }
+        if ftype == "cancel":
+            reply["cancelled"] = cancelled
+        elif ftype == "checkpoint":
+            ckpt = self.bridge.checkpoint(job_id) if known else None
+            reply["checkpoint"] = ckpt.to_dict() if ckpt is not None else None
+        await self._send(conn, reply)
 
     # ------------------------------------------------------------------
     # streaming sessions
@@ -697,16 +501,9 @@ class SolveServer:
 
         return solve_batch
 
-    async def _on_open_session(self, conn: _Conn, frame: Dict[str, Any]) -> None:
+    async def _on_open_session(self, conn: Conn, frame: Dict[str, Any]) -> None:
         rid = frame.get("id")
-        if rid is not None and not isinstance(rid, str):
-            await self._send_error(conn, "bad_request", "'id' must be a string")
-            return
-        if self._draining:
-            self.stats.inc("rejects.draining")
-            await self._send_error(
-                conn, "draining", "server is draining", request_id=rid
-            )
+        if await self._bad_id(conn, rid) or await self._refuse_draining(conn, rid):
             return
         request_key = frame.get("request_id")
         # graph decode can be MiBs of base64+gzip+parsing: off the loop
@@ -750,10 +547,9 @@ class SolveServer:
 
         await self._submit_session_op(conn, rid, fn, "session-opened")
 
-    async def _on_mutate(self, conn: _Conn, frame: Dict[str, Any]) -> None:
+    async def _on_mutate(self, conn: Conn, frame: Dict[str, Any]) -> None:
         rid = frame.get("id")
-        if rid is not None and not isinstance(rid, str):
-            await self._send_error(conn, "bad_request", "'id' must be a string")
+        if await self._bad_id(conn, rid):
             return
         try:
             sid, inserts, deletes = protocol.mutation_from_frame(frame)
@@ -762,25 +558,11 @@ class SolveServer:
             self.stats.inc("rejects.bad_request")
             await self._send_error(conn, exc.code, str(exc), request_id=rid)
             return
-        if self._draining:
-            self.stats.inc("rejects.draining")
-            await self._send_error(
-                conn, "draining", "server is draining", request_id=rid
-            )
-            return
         # mutations trigger solves, so they draw from the same
         # per-connection rate budget as solve frames
-        ok, retry_after = conn.bucket.try_acquire()
-        if not ok:
-            self.stats.inc("rejects.rate_limited")
-            await self._send_error(
-                conn,
-                "rate_limited",
-                f"connection rate limit "
-                f"({self.config.rate:g}/s, burst {self.config.burst}) exceeded",
-                request_id=rid,
-                retry_after_s=retry_after,
-            )
+        if await self._refuse_draining(conn, rid) or await self._rate_limited(
+            conn, rid
+        ):
             return
 
         def fn():
@@ -790,7 +572,7 @@ class SolveServer:
 
         await self._submit_session_op(conn, rid, fn, "mutated")
 
-    async def _on_subscribe(self, conn: _Conn, frame: Dict[str, Any]) -> None:
+    async def _on_subscribe(self, conn: Conn, frame: Dict[str, Any]) -> None:
         rid = frame.get("id")
         if not isinstance(rid, str) or not rid:
             await self._send_error(
@@ -823,10 +605,9 @@ class SolveServer:
             self.stats.inc("sessions.subscribes")
             await self._send(conn, protocol.session_frame("update", view, rid))
 
-    async def _on_close_session(self, conn: _Conn, frame: Dict[str, Any]) -> None:
+    async def _on_close_session(self, conn: Conn, frame: Dict[str, Any]) -> None:
         rid = frame.get("id")
-        if rid is not None and not isinstance(rid, str):
-            await self._send_error(conn, "bad_request", "'id' must be a string")
+        if await self._bad_id(conn, rid):
             return
         try:
             sid = protocol.validate_session_id(frame)
@@ -842,7 +623,7 @@ class SolveServer:
         )
 
     async def _submit_session_op(
-        self, conn: _Conn, rid, fn, reply_type: str, closing: bool = False
+        self, conn: Conn, rid, fn, reply_type: str, closing: bool = False
     ) -> None:
         """Queue one session operation on the bridge worker.
 
@@ -851,39 +632,18 @@ class SolveServer:
         sessions' operations interleave with each other and with solve
         batches.
         """
-        try:
-            future = self.bridge.submit_session(fn, label=reply_type)
-        except BridgeQueueFull as exc:
-            self.stats.inc("rejects.server_busy")
-            await self._send_error(
-                conn,
-                "server_busy",
-                str(exc),
-                request_id=rid,
-                retry_after_s=0.1,
-            )
-            return
-        except ServerError as exc:
-            self.stats.inc(f"rejects.{exc.code}")
-            await self._send_error(conn, exc.code, str(exc), request_id=rid)
-            return
-        loop = asyncio.get_running_loop()
-        task = loop.create_task(
-            self._await_session_op(conn, rid, future, reply_type, closing)
+        future = await self._to_bridge(
+            conn, rid, self.bridge.submit_session, fn, reply_type
         )
-        conn.tasks.add(task)
-        task.add_done_callback(conn.tasks.discard)
+        if future is not None:
+            conn.spawn(self._await_session_op(conn, rid, future, reply_type, closing))
 
     async def _await_session_op(
-        self, conn: _Conn, rid, future, reply_type: str, closing: bool
+        self, conn: Conn, rid, future, reply_type: str, closing: bool
     ) -> None:
         try:
             view = await asyncio.wrap_future(future)
-        except SessionError as exc:
-            self.stats.inc(f"sessions.{exc.code}")
-            await self._send_error(conn, exc.code, str(exc), request_id=rid)
-            return
-        except ServerError as exc:
+        except (SessionError, ServerError) as exc:
             self.stats.inc(f"sessions.{exc.code}")
             await self._send_error(conn, exc.code, str(exc), request_id=rid)
             return
@@ -946,7 +706,7 @@ class SolveServer:
             self.stats.inc("sessions.updates")
             await self._send(sub.conn, frame)
 
-    def _stats_frame(self) -> Dict[str, Any]:
+    def stats_frame(self) -> Dict[str, Any]:
         tracer = getattr(self.service, "tracer", None)
         if isinstance(tracer, CounterTracer):
             counters = tracer.counters_snapshot()
@@ -969,80 +729,8 @@ class SolveServer:
             "counters": counters,
         }
 
-    # ------------------------------------------------------------------
-    # writing and teardown
-    # ------------------------------------------------------------------
-    async def _send(self, conn: _Conn, frame: Dict[str, Any]) -> None:
-        if conn.closed:
-            return
-        data = protocol.encode_frame(frame)
-        try:
-            async with conn.write_lock:
-                conn.writer.write(data)
-                # backpressure point: a slow client stalls only this
-                # coroutine, never the loop or other connections
-                await conn.writer.drain()
-            self.stats.inc("frames.out")
-        except (ConnectionError, OSError):
-            conn.closed = True
 
-    async def _send_error(
-        self,
-        conn: _Conn,
-        code: str,
-        message: str,
-        request_id: Optional[str] = None,
-        retry_after_s: Optional[float] = None,
-    ) -> None:
-        self.stats.inc("errors.sent")
-        await self._send(
-            conn, protocol.error_frame(code, message, request_id, retry_after_s)
-        )
-
-    async def _oversized(self, conn: _Conn) -> None:
-        self.stats.inc("rejects.frame_too_large")
-        await self._send_error(
-            conn,
-            "frame_too_large",
-            f"frame exceeds max_frame_bytes={self.config.max_frame_bytes}",
-        )
-        await self._close_conn(conn)
-
-    async def _close_conn(self, conn: _Conn) -> None:
-        if conn.closed:
-            self._conns.discard(conn)
-            return
-        conn.closed = True
-        self._conns.discard(conn)
-        with contextlib.suppress(ConnectionError, OSError):
-            conn.writer.close()
-
-    async def _teardown_conn(self, conn: _Conn) -> None:
-        """Disconnect cleanup: cancel this connection's queued jobs.
-
-        A mid-solve disconnect must not wedge a worker: still-queued
-        jobs are cancelled outright; a job already inside the service
-        batch runs to completion (its result frame write is a no-op on
-        the closed socket) and its worker returns to the pool.
-        """
-        for job_id in list(conn.jobs.values()):
-            if self.bridge.cancel(job_id):
-                self.stats.inc("solves.cancelled_on_disconnect")
-        # subscriptions die with the socket; the sessions themselves
-        # stay resident (a reconnecting client re-subscribes by id)
-        for sid in list(conn.subs):
-            subs = self._subscribers.get(sid)
-            if subs is not None:
-                subs[:] = [s for s in subs if s.conn is not conn]
-                if not subs:
-                    del self._subscribers[sid]
-        conn.subs.clear()
-        for task in list(conn.tasks):
-            task.cancel()
-        await self._close_conn(conn)
-
-
-class ServerThread:
+class ServerThread(EndpointThread):
     """Run a :class:`SolveServer` on a background thread.
 
     The in-process harness used by the test suite and the latency
@@ -1060,40 +748,10 @@ class ServerThread:
         if config is None:
             config = ServerConfig(port=0)
         self.server = SolveServer(service, config)
-        self._ready = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="solve-server", daemon=True
-        )
-
-    def _run(self) -> None:
-        async def _main() -> None:
-            await self.server.start()
-            self._ready.set()
-            await self.server.serve_until_drained()
-
-        try:
-            asyncio.run(_main())
-        finally:
-            self._ready.set()  # unblock start() even on bind failure
-
-    def start(self, timeout_s: float = 10.0) -> "ServerThread":
-        self._thread.start()
-        if not self._ready.wait(timeout_s):
-            raise RuntimeError("server thread failed to start in time")
-        if self.server.port is None:
-            raise RuntimeError("server failed to bind (see log)")
-        return self
-
-    @property
-    def port(self) -> int:
-        assert self.server.port is not None
-        return self.server.port
+        super().__init__(self.server, "solve-server")
 
     def stop(self, timeout_s: float = 30.0) -> None:
-        loop = self.server._loop
-        if loop is not None and self._thread.is_alive():
-            loop.call_soon_threadsafe(self.server.begin_drain)
-        self._thread.join(timeout_s)
+        super().stop(timeout_s)
         self.server.bridge.stop(timeout_s)
 
     def kill(self, timeout_s: float = 10.0) -> None:
@@ -1104,7 +762,5 @@ class ServerThread:
         process. The bridge worker (a daemon thread) may still be
         mid-solve; its results go nowhere.
         """
-        loop = self.server._loop
-        if loop is not None and self._thread.is_alive():
-            loop.call_soon_threadsafe(self.server.kill)
+        self._call_soon(self.server.kill)
         self._thread.join(timeout_s)

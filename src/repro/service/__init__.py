@@ -20,6 +20,7 @@ docs/SERVICE.md):
 * :mod:`~repro.service.jobs` -- the ``repro batch`` job-file format.
 """
 
+from ..core.config import config_fingerprint
 from .admission import (
     AdmissionController,
     AdmissionDecision,
@@ -27,7 +28,7 @@ from .admission import (
     estimate_memory,
     windowed_variant,
 )
-from .cache import ResultCache, config_fingerprint, request_key
+from .cache import ResultCache, request_key
 from .jobs import load_jobs, parse_jobs, resolve_graph
 from .policy import DegradationPolicy
 from .pool import DeviceHealth, DevicePool

@@ -21,13 +21,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional, Tuple
 
-# config_fingerprint moved to core.config (checkpoints stamp it too);
-# re-exported here for backwards compatibility
 from ..core.config import SolverConfig, config_fingerprint
 from ..graph.csr import CSRGraph
 from ..trace import NULL_TRACER, Tracer
 
-__all__ = ["ResultCache", "config_fingerprint", "request_key"]
+__all__ = ["ResultCache", "request_key"]
 
 
 def request_key(graph: CSRGraph, config: SolverConfig) -> Tuple[str, str]:

@@ -10,8 +10,7 @@ deterministic:
   cheap structural cost estimate so small jobs are not stuck behind
   monsters -- the classic mean-latency optimisation. Priority always
   dominates: higher-priority jobs run first under either policy.
-* **placement** (:class:`~repro.service.pool.DevicePool`, now in
-  :mod:`repro.service.pool`): jobs go to the least-loaded of a pool of
+* **placement** (:class:`~repro.service.pool.DevicePool`): jobs go to the least-loaded of a pool of
   simulated devices (least accumulated model time, i.e. greedy
   longest-processing-time balancing); ``makespan_model_s`` reports
   what a multi-GPU deployment's makespan would be. How many jobs run
@@ -33,17 +32,7 @@ from typing import List
 from ..graph.csr import CSRGraph
 from .request import SolveRequest
 
-# the pool classes lived here before the engine refactor; re-exported
-# for backwards compatibility
-from .pool import (  # noqa: F401
-    HEALTHY,
-    PROBATION,
-    QUARANTINED,
-    DeviceHealth,
-    DevicePool,
-)
-
-__all__ = ["Scheduler", "DevicePool", "DeviceHealth", "expected_cost"]
+__all__ = ["Scheduler", "expected_cost"]
 
 #: valid ordering policies
 POLICIES = ("fifo", "sef")

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.config import WindowOrder
 from repro.core.setup import build_two_clique_list
-from repro.core.windowed import _order_groups, split_windows
+from repro.core.windowed import split_windows
+from repro.engine.sweep import order_groups
 from repro.graph import generators as gen
 from repro.gpusim import Device, DeviceSpec
 
@@ -22,7 +23,7 @@ class TestOrderGroups:
 
     def test_natural_is_identity(self, oriented):
         g, src, dst = oriented
-        s2, d2 = _order_groups(src, dst, g.degrees, WindowOrder.NATURAL)
+        s2, d2 = order_groups(src, dst, g.degrees, WindowOrder.NATURAL)
         assert (s2 == src).all() and (d2 == dst).all()
 
     @pytest.mark.parametrize(
@@ -30,7 +31,7 @@ class TestOrderGroups:
     )
     def test_groups_sorted_by_source_degree(self, oriented, order, sign):
         g, src, dst = oriented
-        s2, d2 = _order_groups(src, dst, g.degrees, order)
+        s2, d2 = order_groups(src, dst, g.degrees, order)
         # same multiset of 2-cliques
         assert sorted(zip(s2.tolist(), d2.tolist())) == sorted(
             zip(src.tolist(), dst.tolist())
@@ -42,7 +43,7 @@ class TestOrderGroups:
 
     def test_groups_stay_contiguous(self, oriented):
         g, src, dst = oriented
-        s2, _ = _order_groups(src, dst, g.degrees, WindowOrder.ASC_DEGREE)
+        s2, _ = order_groups(src, dst, g.degrees, WindowOrder.ASC_DEGREE)
         # each source id appears in exactly one run
         changes = int((np.diff(s2.astype(np.int64)) != 0).sum())
         assert changes + 1 == np.unique(s2).size

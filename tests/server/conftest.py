@@ -2,7 +2,9 @@
 
 Every test server binds an ephemeral port (``ServerConfig(port=0)``)
 on a background :class:`ServerThread`, so the suite is parallel-safe
-and never collides with a real ``repro serve``. ``RawConn`` is a
+and never collides with a real ``repro serve``. ``make_endpoints``
+builds a server and a router side by side, for the connection-layer
+tests both endpoints must pass. ``RawConn`` is a
 deliberately low-level socket wrapper for the protocol-abuse tests:
 it can send partial frames, garbage bytes, and pipelined requests the
 well-behaved :class:`SolveClient` never would.
@@ -13,6 +15,7 @@ import socket
 
 import pytest
 
+from repro.cluster import RouterConfig, RouterThread
 from repro.graph import generators as gen
 from repro.server import ServerConfig, ServerThread, SolveClient
 from repro.server import protocol
@@ -51,6 +54,31 @@ def make_server():
 def server(make_server):
     """A default server over a fresh single-device SolveService."""
     return make_server()
+
+
+@pytest.fixture
+def make_endpoints(make_server):
+    """Factory for ``[server, router]`` with the same client-facing knobs.
+
+    The router fronts one backend server of its own. ``make_service``
+    builds each server's service; ``wire`` sets the connection-layer knobs
+    (``max_conns``, ``max_frame_bytes``, ...) of the server and the
+    router. Routers stop before the servers behind them.
+    """
+    routers = []
+
+    def _make(make_service=SolveService, **wire):
+        server = make_server(make_service(), ServerConfig(port=0, **wire))
+        backend = make_server(make_service())
+        router = RouterThread(
+            RouterConfig(backends=[("127.0.0.1", backend.port)], port=0, **wire)
+        )
+        routers.append(router)
+        return [server, router.start()]
+
+    yield _make
+    for router in routers:
+        router.stop()
 
 
 @pytest.fixture

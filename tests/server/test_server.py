@@ -1,10 +1,15 @@
 """End-to-end server tests: parity, backpressure, drain, and abuse.
 
-The abuse section is the acceptance gate from the issue: oversized
-frames, garbage bytes, rate-limit bursts, and mid-solve disconnects
-must never produce an unhandled exception or wedge the solve worker,
-and a concurrent ``stats`` frame must answer promptly even while a
-slow solve is in flight.
+The abuse section is the acceptance gate: oversized frames, garbage
+bytes, rate-limit bursts, and mid-solve disconnects must never
+produce an unhandled exception or wedge the solve worker, and a
+concurrent ``stats`` frame must answer promptly even while a slow
+solve is in flight.
+
+The connection-layer cases (handshake, framing, unknown types, the
+connection cap, refusal while draining) run each body twice through
+``make_endpoints``: against a server and against a router, which share
+that layer.
 """
 
 import threading
@@ -205,33 +210,35 @@ class TestBackpressure:
         error = next(f for f in frames if f["type"] == "error")
         assert error["code"] == "bad_request"
 
-    def test_connection_cap(self, make_server, raw_conn, make_client, community):
-        server = make_server(config=ServerConfig(port=0, max_conns=1))
-        client = make_client(server, retries=0)
-        client.connect()
-        extra = raw_conn(server)
-        refused = extra.recv()
-        assert refused["type"] == "error"
-        assert refused["code"] == "too_many_connections"
-        assert refused["retriable"] is True
-        assert extra.recv() is None  # server closed the socket
-        # the occupant is unaffected
-        assert client.solve(community)["record"]["status"] == "ok"
+    def test_connection_cap(self, make_endpoints, raw_conn, make_client, community):
+        for endpoint in make_endpoints(max_conns=1):
+            client = make_client(endpoint, retries=0)
+            client.connect()
+            extra = raw_conn(endpoint)
+            refused = extra.recv()
+            assert refused["type"] == "error"
+            assert refused["code"] == "too_many_connections"
+            assert refused["retriable"] is True
+            assert extra.recv() is None  # the endpoint closed the socket
+            # the occupant is unaffected
+            assert client.solve(community)["record"]["status"] == "ok"
 
 
 class TestHandshake:
-    def test_solve_before_hello_rejected(self, server, raw_conn):
-        conn = raw_conn(server)
-        conn.send({"type": "solve", "id": "r", "graph": TRIANGLE})
-        reply = conn.recv()
-        assert reply["code"] == "handshake_required"
-        assert conn.recv() is None
+    def test_solve_before_hello_rejected(self, make_endpoints, raw_conn):
+        for endpoint in make_endpoints():
+            conn = raw_conn(endpoint)
+            conn.send({"type": "solve", "id": "r", "graph": TRIANGLE})
+            reply = conn.recv()
+            assert reply["code"] == "handshake_required"
+            assert conn.recv() is None
 
-    def test_wrong_protocol_rejected(self, server, raw_conn):
-        conn = raw_conn(server)
-        conn.send({"type": "hello", "protocol": "repro-wire/99"})
-        assert conn.recv()["code"] == "unsupported_protocol"
-        assert conn.recv() is None
+    def test_wrong_protocol_rejected(self, make_endpoints, raw_conn):
+        for endpoint in make_endpoints():
+            conn = raw_conn(endpoint)
+            conn.send({"type": "hello", "protocol": "repro-wire/99"})
+            assert conn.recv()["code"] == "unsupported_protocol"
+            assert conn.recv() is None
 
     def test_hello_reply_shape(self, server, raw_conn):
         reply = raw_conn(server).hello()
@@ -239,11 +246,12 @@ class TestHandshake:
         assert reply["server"].startswith("repro/")
         assert reply["max_frame_bytes"] == protocol.MAX_FRAME_BYTES
 
-    def test_redundant_hello_answered(self, server, raw_conn):
-        conn = raw_conn(server)
-        conn.hello()
-        conn.send({"type": "hello", "protocol": protocol.PROTOCOL})
-        assert conn.recv()["type"] == "hello"
+    def test_redundant_hello_answered(self, make_endpoints, raw_conn):
+        for endpoint in make_endpoints():
+            conn = raw_conn(endpoint)
+            conn.hello()
+            conn.send({"type": "hello", "protocol": protocol.PROTOCOL})
+            assert conn.recv()["type"] == "hello"
 
 
 class TestAbuse:
@@ -266,38 +274,43 @@ class TestAbuse:
         assert result["type"] == "result"
         assert result["record"]["clique_number"] == 3
 
-    def test_garbage_line_keeps_connection(self, server, raw_conn):
-        conn = raw_conn(server)
-        conn.hello()
-        conn.send_bytes(b"\xff\xfe\x00 utter garbage\n")
-        assert conn.recv()["code"] == "bad_frame"
-        conn.send({"type": "stats"})
-        assert conn.recv()["type"] == "stats"  # still fully usable
+    def test_garbage_line_keeps_connection(self, make_endpoints, raw_conn):
+        for endpoint in make_endpoints():
+            conn = raw_conn(endpoint)
+            conn.hello()
+            conn.send_bytes(b"\xff\xfe\x00 utter garbage\n")
+            assert conn.recv()["code"] == "bad_frame"
+            conn.send({"type": "stats"})
+            assert conn.recv()["type"] == "stats"  # still fully usable
 
-    def test_garbage_before_handshake_closes(self, server, raw_conn):
-        conn = raw_conn(server)
-        conn.send_bytes(b"GET / HTTP/1.1\r\n")
-        assert conn.recv()["code"] == "bad_frame"
-        assert conn.recv() is None
+    def test_garbage_before_handshake_closes(self, make_endpoints, raw_conn):
+        for endpoint in make_endpoints():
+            conn = raw_conn(endpoint)
+            conn.send_bytes(b"GET / HTTP/1.1\r\n")
+            assert conn.recv()["code"] == "bad_frame"
+            assert conn.recv() is None
 
-    def test_unknown_type_keeps_connection(self, server, raw_conn):
-        conn = raw_conn(server)
-        conn.hello()
-        conn.send({"type": "frobnicate", "id": "x"})
-        error = conn.recv()
-        assert error["code"] == "unknown_type" and error["id"] == "x"
-        conn.send({"type": "stats"})
-        assert conn.recv()["type"] == "stats"
+    def test_unknown_type_keeps_connection(self, make_endpoints, raw_conn):
+        for endpoint in make_endpoints():
+            conn = raw_conn(endpoint)
+            conn.hello()
+            conn.send({"type": "frobnicate", "id": "x"})
+            error = conn.recv()
+            assert error["code"] == "unknown_type" and error["id"] == "x"
+            conn.send({"type": "stats"})
+            assert conn.recv()["type"] == "stats"
 
-    def test_oversized_frame_closes_connection(self, make_server, raw_conn):
-        server = make_server(config=ServerConfig(port=0, max_frame_bytes=4096))
-        conn = raw_conn(server)
-        conn.hello()
-        conn.send_bytes(b"{\"type\":\"solve\",\"label\":\"" + b"x" * 8192 + b"\"}\n")
-        assert conn.recv()["code"] == "frame_too_large"
-        assert conn.recv() is None
-        # the server keeps accepting fresh connections afterwards
-        assert raw_conn(server).hello()["type"] == "hello"
+    def test_oversized_frame_closes_connection(self, make_endpoints, raw_conn):
+        for endpoint in make_endpoints(max_frame_bytes=4096):
+            conn = raw_conn(endpoint)
+            conn.hello()
+            conn.send_bytes(
+                b"{\"type\":\"solve\",\"label\":\"" + b"x" * 8192 + b"\"}\n"
+            )
+            assert conn.recv()["code"] == "frame_too_large"
+            assert conn.recv() is None
+            # the endpoint keeps accepting fresh connections afterwards
+            assert raw_conn(endpoint).hello()["type"] == "hello"
 
     def test_mid_solve_disconnect_does_not_wedge(
         self, make_server, make_client, raw_conn, community
@@ -355,27 +368,27 @@ class TestDrain:
         assert not server._thread.is_alive()
 
     def test_new_connections_refused_while_draining(
-        self, make_server, raw_conn
+        self, make_endpoints, raw_conn
     ):
-        server = make_server(service=_slow_service(0.8))
-        conn = raw_conn(server)
-        conn.hello()
-        conn.send({"type": "solve", "id": "a", "graph": TRIANGLE})
-        time.sleep(0.2)
-        conn.send({"type": "shutdown"})
-        assert conn.recv()["type"] == "bye"
-        # drain is in progress while a's solve sleeps; a newcomer is
-        # turned away with a retriable error (or plain refusal once
-        # the listener socket is fully closed)
-        try:
-            late = raw_conn(server)
-            refused = late.recv()
-            assert refused is None or refused["code"] in (
-                "draining",
-                "too_many_connections",
-            )
-        except OSError:
-            pass  # listener already closed: equally acceptable
+        for endpoint in make_endpoints(lambda: _slow_service(0.8)):
+            conn = raw_conn(endpoint)
+            conn.hello()
+            conn.send({"type": "solve", "id": "a", "graph": TRIANGLE})
+            time.sleep(0.2)
+            conn.send({"type": "shutdown"})
+            assert conn.recv()["type"] == "bye"
+            # drain is in progress while a's solve sleeps; a newcomer is
+            # turned away with a retriable error (or plain refusal once
+            # the listener socket is fully closed)
+            try:
+                late = raw_conn(endpoint)
+                refused = late.recv()
+                assert refused is None or refused["code"] in (
+                    "draining",
+                    "too_many_connections",
+                )
+            except OSError:
+                pass  # listener already closed: equally acceptable
 
     def test_solve_while_draining_rejected(self, make_server, raw_conn):
         server = make_server(service=_slow_service(0.8))

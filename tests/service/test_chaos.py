@@ -17,7 +17,7 @@ from repro.gpusim import Device, FaultEvent, FaultPlan
 from repro.gpusim.spec import DeviceSpec
 from repro.graph import generators as gen
 from repro.service import DegradationPolicy, DevicePool, SolveService
-from repro.service.scheduler import HEALTHY, PROBATION, QUARANTINED
+from repro.service.pool import HEALTHY, PROBATION, QUARANTINED
 from repro.trace import JsonTracer
 
 MIB = 1 << 20

@@ -1,8 +1,10 @@
 """CLI tests (in-process via ``repro.cli.main``)."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.graph import generators as gen
 from repro.graph.io import write_edge_list
 
@@ -194,3 +196,51 @@ class TestLogLevel:
     def test_error_level_silences_info(self, graph_file, capsys):
         assert main(["--log-level", "error", "solve", graph_file]) == 0
         assert capsys.readouterr().out == ""
+
+
+#: every option of the service and listener subcommands, with its default
+OPTIONS = {
+    "batch": {
+        "--devices": 1, "--policy": "fifo", "--cache-size": 128,
+        "--memory-mib": 192, "--timeout": None, "--max-attempts": 3,
+        "--executor": "serial", "--workers": None, "--fault-plan": None,
+        "--json": False, "--output": None, "--trace": None,
+        "--trace-chrome": None,
+    },
+    "serve": {
+        "--host": "127.0.0.1", "--port": None, "--workers": 1,
+        "--max-conns": 32, "--rate": 0.0, "--burst": 8, "--queue-depth": 64,
+        "--max-frame-mib": 8, "--drain-timeout": 60.0, "--devices": 1,
+        "--policy": "fifo", "--cache-size": 128, "--memory-mib": 192,
+        "--timeout": None, "--max-attempts": 3,
+    },
+    "router": {
+        "--backends": None, "--host": "127.0.0.1", "--port": None,
+        "--replicas": 64, "--max-conns": 64, "--max-frame-mib": 8,
+        "--probe-interval": 0.5, "--down-threshold": 3,
+        "--checkpoint-poll": 0.25, "--drain-timeout": 60.0,
+        "--jitter-seed": None,
+    },
+    "chaos-proxy": {
+        "--upstream": None, "--host": "127.0.0.1", "--port": 0,
+        "--plan": None, "--max-frame-mib": 8,
+    },
+}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_option_names_and_defaults(self, command):
+        """The shared argument groups keep each subcommand's flags."""
+        parser = build_parser()
+        sub = next(
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        options = {
+            flag: action.default
+            for action in sub.choices[command]._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        }
+        assert options == OPTIONS[command]
