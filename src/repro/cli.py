@@ -252,14 +252,10 @@ def _checkpoint_round_trip(args: argparse.Namespace, graph, config):
     """
     if args.checkpoint is None:
         return None, None
-    if config.problem != "max-clique":
+    if not config.resumable:
         raise SystemExit(
-            "error: --checkpoint is only defined for the max-clique "
-            f"problem kind (got --problem {config.problem})"
-        )
-    if not config.windowed:
-        raise SystemExit(
-            "error: --checkpoint requires a windowed search (set --window)"
+            "error: --checkpoint requires a windowed (--window) max-clique "
+            f"search (got --problem {config.problem}, --window {args.window})"
         )
     from .core.checkpoint import load_checkpoint
     from .core.config import config_fingerprint

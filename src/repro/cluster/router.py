@@ -18,16 +18,17 @@ suspect -> down``, and live-traffic connection resets jump straight to
 ``down``. Routing skips down backends (counted as ``rebalanced``) but
 the ring keeps them as members, so recovery restores cache affinity.
 
-**Checkpoint-shipped failover**. While a resumable max-clique solve is
-in flight, the router polls the backend's ``checkpoint`` frame and
+**Checkpoint-shipped failover**. While a solve whose config is
+``resumable`` (:attr:`~repro.core.config.SolverConfig.resumable`) is in
+flight, the router polls the backend's ``checkpoint`` frame and
 keeps the newest completed-window checkpoint. When the backend dies
 mid-solve, the request is re-submitted to the next backend in the
 key's preference order *with that checkpoint attached*, so the replica
 resumes from the last completed window instead of restarting --
 at-most-once window execution is preserved because windows are pure
-and the checkpoint only ever describes *completed* work. Requests of
-non-checkpointable kinds (``k-clique-count``, ``maximal-enum``) simply
-restart cleanly; solves are pure, so a replay is always safe.
+and the checkpoint only ever describes *completed* work. Other
+requests simply restart cleanly; solves are pure, so a replay is
+always safe.
 
 See docs/CLUSTER.md for the full semantics, including the retry rules
 per wire error code.
@@ -419,11 +420,7 @@ class Router(WireEndpoint):
                 k: v for k, v in frame.items() if k not in ("id", "deadline_s")
             },
             key=key,
-            resumable=(
-                request.config.windowed
-                and request.config.window_fanout == 1
-                and problem == "max-clique"
-            ),
+            resumable=request.config.resumable,
             checkpoint=frame.get("checkpoint"),
             deadline_at=(
                 request.deadline.at if request.deadline is not None else None

@@ -266,6 +266,22 @@ class SolverConfig:
     def windowed(self) -> bool:
         return self.window_size is not None
 
+    @property
+    def resumable(self) -> bool:
+        """Whether a solve under this config can checkpoint and resume.
+
+        Only the sequential windowed max-clique sweep can: concurrent
+        windows interleave their ω̄ updates, so a last-completed-window
+        checkpoint means nothing there, and the counting and
+        enumeration kinds carry cross-window accumulators that a window
+        checkpoint does not capture.
+        """
+        return (
+            self.windowed
+            and self.window_fanout == 1
+            and self.problem == "max-clique"
+        )
+
 
 #: config fields that cannot change the solve's *result*, only how
 #: long the host takes to produce it -- excluded from fingerprints

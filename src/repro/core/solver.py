@@ -73,7 +73,8 @@ class MaxCliqueSolver:
         Resume a windowed search from a
         :class:`~repro.core.checkpoint.SearchCheckpoint`; validated
         against the graph and configuration before any window runs.
-        Requires a windowed config with ``window_fanout == 1``.
+        Requires a :attr:`~repro.core.config.SolverConfig.resumable`
+        config.
     checkpoint_sink:
         Callback invoked with a stamped checkpoint after every
         completed window of a windowed search; use it to persist
@@ -147,62 +148,36 @@ class MaxCliqueSolver:
         closed forms of k-clique counting (k=1 counts vertices, k=2
         counts edges -- the level loop's root is already level 2).
         """
-        from ..pipeline.stages import build_result
+        from ..pipeline.stages import (
+            build_kclique_result,
+            build_maximal_result,
+            build_result,
+        )
 
-        graph = self.graph
-        if self.config.problem == "k-clique-count":
-            return self._trivial_kclique(ctx)
-        if self.config.problem == "maximal-enum":
-            return self._trivial_maximal(ctx)
-        if graph.num_vertices == 0:
-            ctx.heuristic = HeuristicReport("none", 0, np.zeros(0, dtype=np.int32))
-            return build_result(
-                ctx,
-                omega=0,
-                count=0,
-                cliques=np.zeros((0, 0), dtype=np.int32),
-                found_by="trivial",
-            )
-        if graph.num_edges == 0:
-            # every vertex is a maximum clique of size 1
-            n = graph.num_vertices
-            cap = min(n, self.config.max_cliques_report)
-            cliques = np.arange(cap, dtype=np.int32).reshape(-1, 1)
-            ctx.heuristic = HeuristicReport("none", 1, np.zeros(0, dtype=np.int32))
-            return build_result(
-                ctx,
-                omega=1,
-                count=n,
-                cliques=cliques,
-                found_by="trivial",
-            )
-        return None
-
-    def _trivial_kclique(self, ctx: "ExecutionContext"):
-        from ..pipeline.stages import build_kclique_result
-
-        graph, k = self.graph, self.config.k
-        if k == 1:
-            return build_kclique_result(
-                ctx, count=graph.num_vertices, found_by="trivial"
-            )
-        if k == 2:
-            return build_kclique_result(
-                ctx, count=graph.num_edges, found_by="trivial"
-            )
-        if graph.num_vertices == 0 or graph.num_edges == 0:
+        graph, config = self.graph, self.config
+        if config.problem == "k-clique-count" and config.k <= 2:
+            count = graph.num_vertices if config.k == 1 else graph.num_edges
+            return build_kclique_result(ctx, count=count, found_by="trivial")
+        if graph.num_edges > 0:
+            return None
+        if config.problem == "k-clique-count":
             return build_kclique_result(ctx, count=0, found_by="trivial")
-        return None
-
-    def _trivial_maximal(self, ctx: "ExecutionContext"):
-        from ..pipeline.stages import build_maximal_result
-
-        graph = self.graph
-        if graph.num_vertices == 0 or graph.num_edges == 0:
+        if config.problem == "maximal-enum":
             # every vertex (if any) is an isolated singleton; the
             # builder collects them from the degree array
             return build_maximal_result(ctx, harvested=[], found_by="trivial")
-        return None
+        # every vertex (if any) is a maximum clique of size 1
+        n = graph.num_vertices
+        omega = min(n, 1)
+        cap = min(n, config.max_cliques_report)
+        ctx.heuristic = HeuristicReport("none", omega, np.zeros(0, dtype=np.int32))
+        return build_result(
+            ctx,
+            omega=omega,
+            count=n,
+            cliques=np.arange(cap, dtype=np.int32).reshape(cap, omega),
+            found_by="trivial",
+        )
 
 
 def find_maximum_cliques(

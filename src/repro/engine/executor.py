@@ -23,8 +23,8 @@ serial placement would have chosen. Records, cache contents, and
 counters are therefore byte-identical to serial -- only host wall
 clock differs. When the plan reports that overlap could be observable
 (``sequential_required``: fault injection, a recording tracer, or
-possible cache eviction), the threaded executor degrades to the
-serial order while still routing work through its worker thread.
+possible cache eviction), or there is only one worker or one ticket,
+the threaded executor runs the batch on :class:`SerialExecutor`.
 
 The determinism argument, hook by hook:
 
@@ -161,33 +161,11 @@ class ThreadedExecutor:
         self.workers = workers
 
     def run_batch(self, plan: BatchPlan) -> List[Any]:
-        if plan.n == 0:
-            return []
         workers = self.workers if self.workers is not None else plan.num_devices
         workers = max(1, min(workers, plan.num_devices))
-        if plan.sequential_required or workers == 1 or plan.n == 1:
-            return self._run_handoff(plan)
+        if plan.sequential_required or workers == 1 or plan.n <= 1:
+            return SerialExecutor().run_batch(plan)
         return self._run_parallel(plan, workers)
-
-    # ------------------------------------------------------------------
-    def _run_handoff(self, plan: BatchPlan) -> List[Any]:
-        """Serial order with execution handed to one worker thread.
-
-        Used whenever overlap could be observed (faults, tracing,
-        cache eviction) so results stay byte-identical to
-        :class:`SerialExecutor` while the batch still flows through
-        the threaded machinery.
-        """
-        records: List[Any] = []
-        with _ThreadPool(max_workers=1) as tp:
-            for ticket in range(plan.n):
-                record = plan.prologue(ticket)
-                if record is None:
-                    state = plan.place(ticket, None)
-                    record = tp.submit(plan.run, ticket, state).result()
-                plan.commit(ticket, record)
-                records.append(record)
-        return records
 
     def _run_parallel(self, plan: BatchPlan, workers: int) -> List[Any]:
         n = plan.n

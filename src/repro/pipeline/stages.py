@@ -15,12 +15,11 @@ stage name      phase
 ``windowed``    windowed single-clique search (Section IV-E)
 ==============  =====================================================
 
-The stage implementations delegate to the same ``kcore`` /
-``heuristics`` / ``setup`` / ``bfs`` / ``windowed`` functions the
-monolithic solver called, in the same order with the same arguments,
-so a staged solve charges the device identically to the pre-pipeline
-code -- model-time numbers are unchanged. The search stages call the
-:mod:`repro.core` adapters, which all configure the one level loop in
+Each search stage makes one search call for every problem kind: it
+passes the :mod:`repro.core` adapter the config's
+:class:`~repro.engine.problems.ProblemKind` and the heuristic clique
+(an empty one for kinds that skip the heuristic stage). The adapters
+all configure the one level loop in
 :class:`repro.engine.driver.LevelDriver` (see docs/ARCHITECTURE.md);
 deadlines are uniform :class:`~repro.core.deadline.Deadline` checks
 relabelled per search flavour by the adapters.
@@ -34,6 +33,7 @@ from typing import List, Protocol, runtime_checkable
 import numpy as np
 
 from ..core.bfs import bfs_search
+from ..core.concurrent import concurrent_windowed_search
 from ..core.config import Heuristic, RankKey
 from ..core.config import config_fingerprint as _config_fingerprint
 from ..core.heuristics import run_heuristic
@@ -44,7 +44,9 @@ from ..core.result import (
     SetupStats,
 )
 from ..core.setup import build_two_clique_list
-from ..engine.problems import resolve_kind
+from ..core.windowed import windowed_search
+from ..engine.problems import MAX_CLIQUE, resolve_kind
+from ..errors import CheckpointError, DeviceLostError
 from ..graph.kcore import core_numbers
 from ..log import get_logger
 from .context import ExecutionContext
@@ -168,14 +170,13 @@ class FullSearchStage:
     name = "bfs"
 
     def run(self, ctx: ExecutionContext) -> None:
-        if ctx.config.problem != "max-clique":
-            self._run_kind(ctx)
-            return
-        shortcut = self._single_sublist_shortcut(ctx)
-        if shortcut is not None:
-            ctx.result = shortcut
-            return
-        config, heuristic = ctx.config, ctx.heuristic
+        config, kind = ctx.config, resolve_kind(ctx.config)
+        if kind.prunes:
+            shortcut = self._single_sublist_shortcut(ctx)
+            if shortcut is not None:
+                ctx.result = shortcut
+                return
+        clique = _heuristic_clique(ctx)
         outcome = bfs_search(
             ctx.graph,
             ctx.src,
@@ -185,15 +186,25 @@ class FullSearchStage:
             chunk_pairs=config.chunk_pairs,
             early_exit_heuristic=config.early_exit_heuristic
             and not config.enumerate_all
-            and heuristic.clique.size >= 2,
+            and clique.size >= 2,
             deadline=ctx.deadline,
+            kind=kind,
         )
         try:
-            self._record_counters(ctx, outcome)
+            _record_counters(ctx, outcome)
+            if kind is not MAX_CLIQUE:
+                ctx.result = _kind_result(
+                    ctx,
+                    outcome.state,
+                    levels=outcome.levels,
+                    stored=outcome.candidates_stored,
+                    search_mem=outcome.clique_list.total_bytes,
+                )
+                return
             if outcome.omega == 0:
                 # everything <omega_bar was pruned away: the heuristic
                 # clique is the unique maximum (setup proved it)
-                clique = np.sort(heuristic.clique)
+                clique = np.sort(clique)
                 ctx.result = build_result(
                     ctx,
                     omega=int(clique.size),
@@ -203,14 +214,12 @@ class FullSearchStage:
                     levels=outcome.levels,
                 )
                 return
-            head = outcome.clique_list.head
-            count = head.size
+            count = outcome.clique_list.head.size
             if outcome.stopped_by_heuristic:
-                clique = np.sort(heuristic.clique)
-                cliques = clique.reshape(1, -1)
+                cliques = np.sort(clique).reshape(1, -1)
                 count = 1
                 found_by = "heuristic"
-                omega = heuristic.lower_bound
+                omega = ctx.heuristic.lower_bound
             else:
                 cliques = outcome.clique_list.read_cliques(
                     limit=config.max_cliques_report
@@ -234,44 +243,6 @@ class FullSearchStage:
         finally:
             outcome.clique_list.free_all()
 
-    def _run_kind(self, ctx: ExecutionContext) -> None:
-        """Full search for a non-default problem kind.
-
-        The heuristic stage is skipped for these kinds, so
-        ``ctx.omega_bar`` is still the floor of 2 and setup pruned
-        nothing; the kind's ``effective_bar`` (0) disables pruning in
-        the driver as well.
-        """
-        config = ctx.config
-        kind = resolve_kind(config)
-        outcome = bfs_search(
-            ctx.graph,
-            ctx.src,
-            ctx.dst,
-            ctx.omega_bar,
-            ctx.device,
-            chunk_pairs=config.chunk_pairs,
-            deadline=ctx.deadline,
-            kind=kind,
-        )
-        try:
-            self._record_counters(ctx, outcome)
-            common = dict(
-                levels=outcome.levels,
-                stored=outcome.candidates_stored,
-                search_mem=outcome.clique_list.total_bytes,
-            )
-            if config.problem == "k-clique-count":
-                ctx.result = build_kclique_result(
-                    ctx, count=outcome.state.count, **common
-                )
-            else:
-                ctx.result = build_maximal_result(
-                    ctx, harvested=outcome.state.cliques, **common
-                )
-        finally:
-            outcome.clique_list.free_all()
-
     def _single_sublist_shortcut(self, ctx: ExecutionContext):
         """Paper Section IV-C: skip the exact search when pruning left
         exactly one sublist of length ω̄ - 1.
@@ -280,6 +251,7 @@ class FullSearchStage:
         an ω̄-clique needs *all* of it plus the source -- so if that
         vertex set is a clique (it contains the heuristic's own clique
         of the same size, so it is), it is the unique maximum clique.
+        Only kinds that prune by ω̄ may take it.
         """
         src, dst, omega_bar = ctx.src, ctx.dst, ctx.omega_bar
         if src.size == 0 or src.size != omega_bar - 1:
@@ -305,92 +277,87 @@ class FullSearchStage:
             stored=int(src.size),
         )
 
-    @staticmethod
-    def _record_counters(ctx: ExecutionContext, outcome) -> None:
-        ctx.tracer.counter(
-            "search.candidates_generated",
-            sum(s.generated for s in outcome.levels),
-        )
-        ctx.tracer.counter("search.candidates_stored", outcome.candidates_stored)
-        ctx.tracer.counter("search.candidates_pruned", outcome.candidates_pruned)
-
 
 class WindowedSearchStage:
-    """Windowed search for a single maximum clique (Section IV-E)."""
+    """Windowed search for a single maximum clique (Section IV-E).
+
+    For the counting and enumeration kinds every window's accumulator
+    is merged by the sweep, so the union over windows is exact (each
+    clique is rooted in exactly one window).
+    """
 
     name = "windowed"
 
     def run(self, ctx: ExecutionContext) -> None:
-        if ctx.config.problem != "max-clique":
-            self._run_kind(ctx)
-            return
-        config, heuristic = ctx.config, ctx.heuristic
+        config, kind = ctx.config, resolve_kind(ctx.config)
+        user_sink = ctx.checkpoint_sink
+        checkpointing = ctx.checkpoint is not None or user_sink is not None
+        if checkpointing and not config.resumable:
+            raise CheckpointError(
+                "checkpoint/resume requires a max-clique windowed search "
+                f"with window_fanout == 1 (got problem={config.problem!r}, "
+                f"window_fanout={config.window_fanout})"
+            )
+        if ctx.checkpoint is not None:
+            ctx.checkpoint.validate_for(
+                ctx.graph.fingerprint(), _config_fingerprint(config)
+            )
+            ctx.tracer.counter("search.checkpoint.resumed")
+        search_args = (
+            ctx.graph,
+            ctx.src,
+            ctx.dst,
+            ctx.omega_bar,
+            _heuristic_clique(ctx),
+            ctx.device,
+        )
+        shared = dict(
+            window_size=config.window_size,
+            window_order=config.window_order,
+            chunk_pairs=config.chunk_pairs,
+            deadline=ctx.deadline,
+            kind=kind,
+        )
         if config.window_fanout > 1:
-            if ctx.checkpoint is not None or ctx.checkpoint_sink is not None:
-                from ..errors import CheckpointError
-
-                # concurrent windows interleave their ω̄ updates; a
-                # last-completed-window checkpoint has no meaning there
-                raise CheckpointError(
-                    "checkpoint/resume requires window_fanout == 1 "
-                    "(the concurrent-windows sweep is not resumable)"
-                )
-            from ..core.concurrent import concurrent_windowed_search
-
             outcome = concurrent_windowed_search(
-                ctx.graph,
-                ctx.src,
-                ctx.dst,
-                ctx.omega_bar,
-                heuristic.clique,
-                ctx.device,
-                window_size=config.window_size,
-                fanout=config.window_fanout,
-                window_order=config.window_order,
-                chunk_pairs=config.chunk_pairs,
-                deadline=ctx.deadline,
+                *search_args, fanout=config.window_fanout, **shared
             )
         else:
-            from ..core.windowed import windowed_search
-            from ..errors import DeviceLostError
+            sink = None
+            if user_sink is not None:
 
-            sink = self._stamped_sink(ctx)
-            if ctx.checkpoint is not None:
-                ctx.checkpoint.validate_for(
-                    ctx.graph.fingerprint(), _config_fingerprint(ctx.config)
-                )
-                ctx.tracer.counter("search.checkpoint.resumed")
+                def sink(ckpt) -> None:
+                    user_sink(_stamp(ctx, ckpt))
+
             try:
                 outcome = windowed_search(
-                    ctx.graph,
-                    ctx.src,
-                    ctx.dst,
-                    ctx.omega_bar,
-                    heuristic.clique,
-                    ctx.device,
-                    window_size=config.window_size,
-                    window_order=config.window_order,
-                    chunk_pairs=config.chunk_pairs,
+                    *search_args,
                     early_exit_heuristic=config.early_exit_heuristic,
-                    deadline=ctx.deadline,
                     adaptive=config.adaptive_windowing,
                     checkpoint=ctx.checkpoint,
                     checkpoint_sink=sink,
+                    **shared,
                 )
             except DeviceLostError as exc:
                 # stamp the escaping checkpoint so the service (or a
                 # --checkpoint file) can verify identity on resume
                 if exc.checkpoint is not None:
-                    exc.checkpoint.graph_fingerprint = ctx.graph.fingerprint()
-                    exc.checkpoint.config_fingerprint = _config_fingerprint(
-                        ctx.config
-                    )
+                    _stamp(ctx, exc.checkpoint)
                 raise
+        _record_counters(ctx, outcome)
+        ctx.tracer.counter("search.windows", len(outcome.windows))
+        telemetry = dict(
+            levels=outcome.levels,
+            windows=outcome.windows,
+            stored=outcome.candidates_stored,
+            search_mem=outcome.peak_window_bytes,
+        )
+        if kind is not MAX_CLIQUE:
+            ctx.result = _kind_result(ctx, outcome.state, **telemetry)
+            return
         # the windows carried ω̄ forward internally; persist the final
         # (possibly raised) bound in the context
         ctx.omega_bar = max(ctx.omega_bar, int(outcome.omega))
-        FullSearchStage._record_counters(ctx, outcome)
-        ctx.tracer.counter("search.windows", len(outcome.windows))
         clique = np.sort(outcome.best_clique)
         ctx.result = build_result(
             ctx,
@@ -399,135 +366,59 @@ class WindowedSearchStage:
             cliques=clique.reshape(1, -1),
             found_by=(
                 "heuristic"
-                if outcome.omega == heuristic.lower_bound
+                if outcome.omega == ctx.heuristic.lower_bound
                 else "search"
             ),
-            levels=outcome.levels,
-            windows=outcome.windows,
-            stored=outcome.candidates_stored,
             pruned=outcome.candidates_pruned + ctx.setup_stats.pruned_2cliques,
-            search_mem=outcome.peak_window_bytes,
+            **telemetry,
         )
 
-    def _run_kind(self, ctx: ExecutionContext) -> None:
-        """Windowed sweep for a non-default problem kind.
 
-        Every window's accumulator is merged by the sweep, so the
-        union over windows is exact (each clique is rooted in exactly
-        one window). Checkpoint/resume is refused: a windows-done
-        checkpoint does not capture the kind's accumulated state, so
-        resuming from one would silently drop already-harvested
-        counts/cliques.
-        """
-        config = ctx.config
-        if ctx.checkpoint is not None or ctx.checkpoint_sink is not None:
-            from ..errors import CheckpointError
-
-            raise CheckpointError(
-                "checkpoint/resume is only defined for the max-clique "
-                f"problem kind (got problem={config.problem!r})"
-            )
-        kind = resolve_kind(config)
-        no_clique = np.zeros(0, dtype=np.int32)
-        if config.window_fanout > 1:
-            from ..core.concurrent import concurrent_windowed_search
-
-            outcome = concurrent_windowed_search(
-                ctx.graph,
-                ctx.src,
-                ctx.dst,
-                ctx.omega_bar,
-                no_clique,
-                ctx.device,
-                window_size=config.window_size,
-                fanout=config.window_fanout,
-                window_order=config.window_order,
-                chunk_pairs=config.chunk_pairs,
-                deadline=ctx.deadline,
-                kind=kind,
-            )
-        else:
-            from ..core.windowed import windowed_search
-
-            outcome = windowed_search(
-                ctx.graph,
-                ctx.src,
-                ctx.dst,
-                ctx.omega_bar,
-                no_clique,
-                ctx.device,
-                window_size=config.window_size,
-                window_order=config.window_order,
-                chunk_pairs=config.chunk_pairs,
-                deadline=ctx.deadline,
-                adaptive=config.adaptive_windowing,
-                kind=kind,
-            )
-        FullSearchStage._record_counters(ctx, outcome)
-        ctx.tracer.counter("search.windows", len(outcome.windows))
-        common = dict(
-            levels=outcome.levels,
-            windows=outcome.windows,
-            stored=outcome.candidates_stored,
-            search_mem=outcome.peak_window_bytes,
-        )
-        if config.problem == "k-clique-count":
-            ctx.result = build_kclique_result(
-                ctx, count=outcome.state.count, **common
-            )
-        else:
-            ctx.result = build_maximal_result(
-                ctx, harvested=outcome.state.cliques, **common
-            )
-
-    @staticmethod
-    def _stamped_sink(ctx: ExecutionContext):
-        """Wrap the context's sink to stamp graph/config fingerprints.
-
-        The core search layer has no notion of fingerprints; every
-        checkpoint that leaves the pipeline carries them so resume can
-        verify identity.
-        """
-        if ctx.checkpoint_sink is None:
-            return None
-        gfp = ctx.graph.fingerprint()
-        cfp = _config_fingerprint(ctx.config)
-        user_sink = ctx.checkpoint_sink
-
-        def sink(ckpt) -> None:
-            ckpt.graph_fingerprint = gfp
-            ckpt.config_fingerprint = cfp
-            user_sink(ckpt)
-
-        return sink
+def _heuristic_clique(ctx: ExecutionContext) -> np.ndarray:
+    """The heuristic's clique; empty for kinds that skip the heuristic."""
+    if ctx.heuristic is None:
+        return np.zeros(0, dtype=np.int32)
+    return ctx.heuristic.clique
 
 
-def build_result(
-    ctx: ExecutionContext,
-    omega,
-    count,
-    cliques,
-    found_by,
-    levels=None,
-    windows=None,
-    stored=0,
-    pruned=0,
-    search_mem=0,
-) -> MaxCliqueResult:
-    """Assemble a :class:`MaxCliqueResult` from the context's state.
+def _record_counters(ctx: ExecutionContext, outcome) -> None:
+    ctx.tracer.counter(
+        "search.candidates_generated",
+        sum(s.generated for s in outcome.levels),
+    )
+    ctx.tracer.counter("search.candidates_stored", outcome.candidates_stored)
+    ctx.tracer.counter("search.candidates_pruned", outcome.candidates_pruned)
+
+
+def _stamp(ctx: ExecutionContext, ckpt):
+    """Stamp the graph and config fingerprints onto a checkpoint.
+
+    The core search layer has no notion of fingerprints; every
+    checkpoint that leaves the pipeline carries them so resume can
+    verify identity.
+    """
+    ckpt.graph_fingerprint = ctx.graph.fingerprint()
+    ckpt.config_fingerprint = _config_fingerprint(ctx.config)
+    return ckpt
+
+
+def _kind_result(ctx: ExecutionContext, state, **telemetry):
+    """The result of a counting or enumeration kind from its accumulator."""
+    if ctx.config.problem == "k-clique-count":
+        return build_kclique_result(ctx, count=state.count, **telemetry)
+    return build_maximal_result(ctx, harvested=state.cliques, **telemetry)
+
+
+def _telemetry(ctx, levels, windows, stored, pruned, search_mem) -> dict:
+    """The telemetry fields every result kind shares.
 
     ``stage_times`` is attached *by reference*: the runner finishes
     filling it (the search stage's own entry lands after the stage
-    returns), so the result sees the complete breakdown.
+    returns), so the result sees the complete breakdown. Peak memory
+    and model time are per-solve deltas from the context's baselines.
     """
     device = ctx.device
-    return MaxCliqueResult(
-        clique_number=int(omega),
-        num_maximum_cliques=int(count),
-        cliques=cliques,
-        found_by=found_by,
-        enumerated_all=ctx.config.enumerate_all,
-        heuristic=ctx.heuristic,
+    return dict(
         setup=ctx.setup_stats if ctx.setup_stats is not None else SetupStats(),
         levels=levels if levels is not None else [],
         windows=windows if windows is not None else [],
@@ -542,6 +433,30 @@ def build_result(
     )
 
 
+def build_result(
+    ctx: ExecutionContext,
+    omega,
+    count,
+    cliques,
+    found_by,
+    levels=None,
+    windows=None,
+    stored=0,
+    pruned=0,
+    search_mem=0,
+) -> MaxCliqueResult:
+    """Assemble a :class:`MaxCliqueResult` from the context's state."""
+    return MaxCliqueResult(
+        clique_number=int(omega),
+        num_maximum_cliques=int(count),
+        cliques=cliques,
+        found_by=found_by,
+        enumerated_all=ctx.config.enumerate_all,
+        heuristic=ctx.heuristic,
+        **_telemetry(ctx, levels, windows, stored, pruned, search_mem),
+    )
+
+
 def build_kclique_result(
     ctx: ExecutionContext,
     count,
@@ -551,27 +466,12 @@ def build_kclique_result(
     stored=0,
     search_mem=0,
 ) -> KCliqueCountResult:
-    """Assemble a :class:`KCliqueCountResult` from the context's state.
-
-    Mirrors :func:`build_result`'s telemetry capture (``stage_times``
-    attached by reference, per-solve peak/model-time deltas).
-    """
-    device = ctx.device
+    """Assemble a :class:`KCliqueCountResult` from the context's state."""
     return KCliqueCountResult(
         k=int(ctx.config.k),
         count=int(count),
         found_by=found_by,
-        setup=ctx.setup_stats if ctx.setup_stats is not None else SetupStats(),
-        levels=levels if levels is not None else [],
-        windows=windows if windows is not None else [],
-        candidates_stored=int(stored),
-        candidates_pruned=0,
-        peak_memory_bytes=device.pool.peak_bytes - ctx.base_mem,
-        search_memory_bytes=int(search_mem),
-        device_stats=device.stats(),
-        model_time_s=device.model_time_s - ctx.m0,
-        wall_time_s=time.perf_counter() - ctx.t0,
-        stage_times=ctx.stage_times,
+        **_telemetry(ctx, levels, windows, stored, 0, search_mem),
     )
 
 
@@ -593,7 +493,6 @@ def build_maximal_result(
     lexicographic) order and capped at ``max_cliques_report`` (the
     total count stays exact).
     """
-    device = ctx.device
     singles = [(int(v),) for v in np.flatnonzero(ctx.graph.degrees == 0)]
     ordered = sorted(singles + list(harvested), key=lambda c: (len(c), c))
     total = len(ordered)
@@ -604,17 +503,7 @@ def build_maximal_result(
         cliques=ordered[:cap],
         enumerated_all=total <= cap,
         found_by=found_by,
-        setup=ctx.setup_stats if ctx.setup_stats is not None else SetupStats(),
-        levels=levels if levels is not None else [],
-        windows=windows if windows is not None else [],
-        candidates_stored=int(stored),
-        candidates_pruned=0,
-        peak_memory_bytes=device.pool.peak_bytes - ctx.base_mem,
-        search_memory_bytes=int(search_mem),
-        device_stats=device.stats(),
-        model_time_s=device.model_time_s - ctx.m0,
-        wall_time_s=time.perf_counter() - ctx.t0,
-        stage_times=ctx.stage_times,
+        **_telemetry(ctx, levels, windows, stored, 0, search_mem),
     )
 
 

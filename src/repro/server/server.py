@@ -44,7 +44,6 @@ from .. import __version__
 from ..errors import ProtocolError, ServerError, SessionError
 from ..log import get_logger
 from ..stream import GraphSession, SessionManager
-from ..trace import NULL_TRACER, CounterTracer
 from . import protocol
 from .bridge import BridgeQueueFull, SolveBridge
 from .endpoint import Conn, EndpointThread, WireEndpoint
@@ -316,7 +315,7 @@ class SolveServer(WireEndpoint):
             # the budget is already gone: refuse retriable instead of
             # computing an answer the client has stopped waiting for
             self.stats.inc("rejects.deadline_exceeded")
-            self._service_counter("service.deadline.rejected")
+            self.service.tracer.counter("service.deadline.rejected")
             await self._send_error(
                 conn,
                 "deadline_exceeded",
@@ -362,14 +361,14 @@ class SolveServer(WireEndpoint):
         self._dedup.move_to_end(dedup_key)
         if entry.record is not None:
             self.stats.inc("dedup.replays")
-            self._service_counter("service.dedup.replays")
+            self.service.tracer.counter("service.dedup.replays")
             await self._send(
                 conn,
                 protocol.result_frame(request_id, entry.record, entry.max_report),
             )
             return True
         self.stats.inc("dedup.joins")
-        self._service_counter("service.dedup.joins")
+        self.service.tracer.counter("service.dedup.joins")
         conn.spawn(self._join_result(conn, request_id, entry))
         return True
 
@@ -396,13 +395,6 @@ class SolveServer(WireEndpoint):
             if entry.record is not None or entry.future.done():
                 del self._dedup[key]
                 self.stats.inc("dedup.evictions")
-
-    def _service_counter(self, name: str) -> None:
-        """Accumulate into the service tracer's counters when it has any."""
-        tracer = getattr(self.service, "tracer", None)
-        counter = getattr(tracer, "counter", None)
-        if counter is not None:
-            counter(name)
 
     async def _await_result(
         self, conn, request_id, job_id, future, max_report, t0, entry=None
@@ -531,7 +523,6 @@ class SolveServer(WireEndpoint):
                 raise SessionError(
                     f"session {sid!r} already exists", code="session_exists"
                 )
-            tracer = getattr(self.service, "tracer", None) or NULL_TRACER
             session = GraphSession(
                 sid,
                 graph,
@@ -539,7 +530,7 @@ class SolveServer(WireEndpoint):
                 solve_batch=self._session_solve_batch(sid),
                 dirty_threshold=self.config.session_dirty_threshold,
                 max_localized=self.config.session_max_localized,
-                tracer=tracer,
+                tracer=self.service.tracer,
             )
             session.open_request_id = request_key
             self.sessions.create(session)
@@ -707,11 +698,6 @@ class SolveServer(WireEndpoint):
             await self._send(sub.conn, frame)
 
     def stats_frame(self) -> Dict[str, Any]:
-        tracer = getattr(self.service, "tracer", None)
-        if isinstance(tracer, CounterTracer):
-            counters = tracer.counters_snapshot()
-        else:
-            counters = dict(getattr(tracer, "counters", {}) or {})
         return {
             "type": "stats",
             "server": self.stats.snapshot(
@@ -726,7 +712,7 @@ class SolveServer(WireEndpoint):
                 ),
             ),
             "service": self.service.stats_snapshot(),
-            "counters": counters,
+            "counters": self.service.tracer.counters_snapshot(),
         }
 
 

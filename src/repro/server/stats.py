@@ -15,6 +15,8 @@ import threading
 from collections import deque
 from typing import Any, Dict
 
+from ..trace import CounterTracer
+
 __all__ = ["LatencyWindow", "ServerStats"]
 
 
@@ -63,17 +65,14 @@ class LatencyWindow:
         }
 
 
-class ServerStats:
+class ServerStats(CounterTracer):
     """Thread-safe counter map plus the solve-latency window."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counters: Dict[str, int] = {}
+        super().__init__()
         self.latency = LatencyWindow()
 
-    def inc(self, name: str, value: int = 1) -> None:
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + int(value)
+    inc = CounterTracer.counter
 
     def get(self, name: str) -> int:
         with self._lock:
@@ -85,9 +84,7 @@ class ServerStats:
         The server passes point-in-time gauges (open connections,
         queue depth, in-flight jobs) that only it can read.
         """
-        with self._lock:
-            counters = dict(self._counters)
-        out: Dict[str, Any] = dict(counters)
+        out: Dict[str, Any] = self.counters_snapshot()
         out.update(gauges)
         out["latency"] = self.latency.snapshot()
         return out

@@ -57,8 +57,8 @@ class SolveRequest:
         resume the windowed max-clique search from (checkpoint-shipped
         failover: the cluster router attaches one fetched from a dying
         backend). Ignored whenever the executed configuration is not
-        resumable (non-windowed, ``window_fanout > 1``, or a
-        non-max-clique kind) -- those restart cleanly.
+        :attr:`~repro.core.config.SolverConfig.resumable` -- those
+        restart cleanly.
     checkpoint_sink:
         Optional callback invoked with a stamped checkpoint after
         every completed window, so callers (the server bridge) can

@@ -361,19 +361,13 @@ class SolveService:
         ladder_attempts = 0
         checkpoint = None  # resume point for the next launch
         latest = [None]  # newest completed-window checkpoint (sink cell)
-        external_sink = request.checkpoint_sink
 
-        def _resumable(cfg: SolverConfig) -> bool:
-            # resume is only sound for sequential windowed max-clique
-            # sweeps (other kinds carry cross-window accumulators a
-            # window checkpoint cannot express)
-            return (
-                cfg.windowed
-                and cfg.window_fanout == 1
-                and cfg.problem == "max-clique"
-            )
+        def sink(ckpt) -> None:
+            latest[0] = ckpt
+            if request.checkpoint_sink is not None:
+                request.checkpoint_sink(ckpt)
 
-        if request.checkpoint is not None and _resumable(config):
+        if request.checkpoint is not None and config.resumable:
             # checkpoint-shipped failover: a router (or caller) handed
             # us the resume point of a solve that died elsewhere
             checkpoint = request.checkpoint
@@ -382,15 +376,6 @@ class SolveService:
         while True:
             record.attempts += 1
             m0 = device.model_time_s
-            if _resumable(config):
-                if external_sink is not None:
-                    def sink(ckpt, _latest=latest):
-                        _latest[0] = ckpt
-                        external_sink(ckpt)
-                else:
-                    sink = lambda ckpt: latest.__setitem__(0, ckpt)  # noqa: E731
-            else:
-                sink = None
             try:
                 if self.fault_hook is not None:
                     self.fault_hook(request, record.attempts, config)
@@ -400,7 +385,7 @@ class SolveService:
                     device,
                     tracer=self.tracer,
                     checkpoint=checkpoint,
-                    checkpoint_sink=sink,
+                    checkpoint_sink=sink if config.resumable else None,
                 ).solve()
             except TransientDeviceError as exc:
                 record.model_time_s += device.model_time_s - m0
@@ -471,9 +456,8 @@ class SolveService:
                 )
                 continue
             except CheckpointError as exc:
-                # a shipped checkpoint failed identity validation (or
-                # the config turned out non-resumable): the job fails
-                # cleanly so the shipper can retry without a checkpoint
+                # a shipped checkpoint failed identity validation: the
+                # job fails cleanly so the shipper can retry without one
                 record.model_time_s += device.model_time_s - m0
                 record.error = f"{type(exc).__name__}: {exc}"
                 self.tracer.counter("service.checkpoint.rejected")

@@ -145,6 +145,10 @@ class Tracer:
     def counter(self, name: str, value: int = 1) -> None:
         """Accumulate ``value`` into the named counter."""
 
+    def counters_snapshot(self) -> Dict[str, int]:
+        """A point-in-time copy of every accumulated counter."""
+        return {}
+
 
 class NullTracer(Tracer):
     """Explicitly-named alias of the no-op base tracer."""
@@ -161,7 +165,7 @@ class CounterTracer(Tracer):
     from worker threads, which rules out :class:`JsonTracer` there: it
     accumulates every span and kernel event forever, and its
     ``enabled`` flag makes the threaded batch executor fall back to
-    the ordered path (interleaved span streams would be observable).
+    the serial executor (interleaved span streams would be observable).
     This tracer keeps only the counter map -- exactly what the server's
     ``stats`` frame reports -- behind a lock, and leaves ``enabled``
     False so span/kernel hot paths and executor parallelism are
@@ -177,7 +181,6 @@ class CounterTracer(Tracer):
             self._counters[name] = self._counters.get(name, 0) + int(value)
 
     def counters_snapshot(self) -> Dict[str, int]:
-        """A point-in-time copy of every accumulated counter."""
         with self._lock:
             return dict(self._counters)
 
@@ -249,6 +252,9 @@ class JsonTracer(Tracer):
 
     def counter(self, name: str, value: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + int(value)
+
+    def counters_snapshot(self) -> Dict[str, int]:
+        return dict(self.counters)
 
     # ------------------------------------------------------------------
     # queries

@@ -117,11 +117,19 @@ class TestKCliqueCount:
         assert isinstance(result, KCliqueCountResult)
         assert result.count == count_k_cliques_reference(g, k)
 
-    @given(random_graphs(max_n=18), st.sampled_from([3, 4]), st.sampled_from([5, 16]))
+    @given(
+        random_graphs(max_n=18),
+        st.sampled_from([3, 4]),
+        st.sampled_from([5, 16]),
+        st.sampled_from([1, 3]),
+    )
     @settings(**SETTINGS)
-    def test_windowed_matches_full(self, g, k, window):
+    def test_windowed_matches_full(self, g, k, window, fanout):
         full = _solve(g, problem="k-clique-count", k=k)
-        win = _solve(g, problem="k-clique-count", k=k, window_size=window)
+        win = _solve(
+            g, problem="k-clique-count", k=k, window_size=window,
+            window_fanout=fanout,
+        )
         assert win.count == full.count == count_k_cliques_reference(g, k)
 
     def test_trivial_ks_short_circuit(self):
@@ -165,11 +173,13 @@ class TestMaximalEnum:
         assert list(result.cliques) == oracle
         assert result.max_clique_size == (len(oracle[-1]) if oracle else 0)
 
-    @given(random_graphs(max_n=18), st.sampled_from([4, 11]))
+    @given(random_graphs(max_n=18), st.sampled_from([4, 11]), st.sampled_from([1, 3]))
     @settings(**SETTINGS)
-    def test_windowed_matches_full(self, g, window):
+    def test_windowed_matches_full(self, g, window, fanout):
         full = _solve(g, problem="maximal-enum")
-        win = _solve(g, problem="maximal-enum", window_size=window)
+        win = _solve(
+            g, problem="maximal-enum", window_size=window, window_fanout=fanout
+        )
         assert win.num_maximal_cliques == full.num_maximal_cliques
         assert list(win.cliques) == list(full.cliques)
 

@@ -253,8 +253,8 @@ class TestChaosBudgets:
 class TestThreadedChaosParity:
     """Chaos runs under ``executor="threaded"`` are byte-equivalent to serial.
 
-    Installed fault injectors (and the recording tracer) force the
-    threaded executor onto its ordered hand-off path, so every retry,
+    Installed fault injectors (and the recording tracer) make the
+    threaded executor run the batch on the serial executor, so every retry,
     migration, and breaker transition must land identically -- only
     host wall time may differ.
     """
