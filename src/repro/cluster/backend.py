@@ -26,7 +26,7 @@ import contextlib
 from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple
 
-from ..errors import ProtocolError, ServerError
+from ..errors import ProtocolError
 from ..log import get_logger
 from ..server import protocol
 
@@ -211,8 +211,6 @@ class BackendLink:
             )
         try:
             reply = await asyncio.wait_for(asyncio.shield(fut), timeout_s)
-        except asyncio.TimeoutError:
-            raise
         finally:
             for key in keys:
                 if self._pending.get(key) is fut:
@@ -221,17 +219,7 @@ class BackendLink:
                 with contextlib.suppress(ValueError):
                     queue.remove(fut)
         if reply.get("type") == "error":
-            retriable, exit_code = protocol.ERROR_CODES.get(
-                reply.get("code", "internal"), (False, 1)
-            )
-            err = ServerError(
-                reply.get("message", "backend error"),
-                code=reply.get("code", "internal"),
-                retriable=bool(reply.get("retriable", retriable)),
-                exit_code=int(reply.get("exit_code", exit_code)),
-            )
-            err.retry_after_s = reply.get("retry_after_s")
-            raise err
+            raise protocol.error_from_frame(reply)
         return reply
 
     # ------------------------------------------------------------------

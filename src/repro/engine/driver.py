@@ -30,10 +30,14 @@ Two launch schedules share this loop:
   overhead, higher occupancy) -- the concurrent-windows extension of
   paper Section V-C3.
 
-A single-lane fused group charges exactly what the isolated schedule
-charges (`run_boundaries` at cost 1/thread, the merged cost array
-degenerates to the lane's own, the scan at ``SCAN_OPS``/thread), so
-``fanout=1`` degenerates to the sequential sweep by construction.
+A single-lane fused group is not the isolated schedule: the merged
+``OutputNewCliques`` launch is charged before the lanes learn that
+none of them produced a clique, so the fused schedule pays one more
+launch on its last level (with one lane and the same 2-clique list:
+24 vs 23 launches on soc-comm-10x50, 12 vs 11 on road-grid-60).
+``fanout=1`` matches the sequential sweep only because
+:func:`~repro.engine.sweep.window_sweep` routes it to the isolated
+schedule.
 
 Host-side vectorisation note: the per-thread inner loops are
 materialised as flat pair arrays in chunks of ``chunk_pairs`` to

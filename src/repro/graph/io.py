@@ -18,8 +18,9 @@ first-class, not an afterthought.
 from __future__ import annotations
 
 import gzip
+import re
 from pathlib import Path
-from typing import Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "write_dimacs",
     "load_graph",
     "parse_edge_list_text",
+    "format_edge_list",
 ]
 
 PathLike = Union[str, Path]
@@ -71,13 +73,27 @@ def _int(token: str, path: PathLike, lineno: int, what: str) -> int:
         ) from exc
 
 
-def _parse_edge_lines(lines, source, comment_chars: str = "#%") -> CSRGraph:
-    """Shared edge-list parsing core (files and wire payloads)."""
+#: the vertex-count comment :func:`format_edge_list` writes first
+_VERTEX_COUNT = re.compile(r"[#%]\s*\|V\|=(\d+)")
+
+
+def _parse_edge_lines(
+    lines, source, comment_chars: str = "#%", max_vertices: Optional[int] = None
+) -> CSRGraph:
+    """Shared edge-list parsing core (files and wire payloads).
+
+    A ``# |V|=n`` comment fixes the vertex count (else the largest id
+    plus one); more than ``max_vertices`` is refused before building.
+    """
+    n = None
     src = []
     dst = []
     for lineno, line in enumerate(lines, 1):
         s = line.strip()
         if not s or s[0] in comment_chars:
+            header = _VERTEX_COUNT.match(s)
+            if header:
+                n = _int(header.group(1), source, lineno, "vertex count")
             continue
         parts = s.split()
         if len(parts) < 2:
@@ -89,7 +105,14 @@ def _parse_edge_lines(lines, source, comment_chars: str = "#%") -> CSRGraph:
             raise GraphFormatError(
                 f"{source}:{lineno}: non-integer vertex id"
             ) from exc
-    return from_edge_array(np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64))
+    try:
+        ids = np.array([src, dst], dtype=np.int64)
+    except OverflowError as exc:
+        raise GraphFormatError(f"{source}: vertex id out of range") from exc
+    top = max(int(ids.max(initial=-1)) + 1, n or 0)
+    if max_vertices is not None and top > max_vertices:
+        raise GraphFormatError(f"{source}: graph has more than {max_vertices} vertices")
+    return from_edge_array(ids[0], ids[1], num_vertices=n)
 
 
 def read_edge_list(path: PathLike, comment_chars: str = "#%") -> CSRGraph:
@@ -97,18 +120,28 @@ def read_edge_list(path: PathLike, comment_chars: str = "#%") -> CSRGraph:
     return _parse_edge_lines(_read_lines(path), path, comment_chars)
 
 
-def parse_edge_list_text(text: str, source: str = "<edge-list>") -> CSRGraph:
+def parse_edge_list_text(
+    text: str, source: str = "<edge-list>", max_vertices: Optional[int] = None
+) -> CSRGraph:
     """Parse edge-list *text* (the solve server's inline graph payload)."""
-    return _parse_edge_lines(text.splitlines(), source)
+    return _parse_edge_lines(text.splitlines(), source, max_vertices=max_vertices)
+
+
+def format_edge_list(graph: CSRGraph) -> str:
+    """Edge-list text: a ``# |V|=n |E|=m`` header, one ``u v`` line per edge.
+
+    The file writer and the solve server's inline graph payload share it.
+    """
+    src, dst = graph.to_edge_list()
+    lines = [f"# |V|={graph.num_vertices} |E|={graph.num_edges}\n"]
+    lines.extend(f"{u} {v}\n" for u, v in zip(src.tolist(), dst.tolist()))
+    return "".join(lines)
 
 
 def write_edge_list(graph: CSRGraph, path: PathLike) -> None:
-    """Write one ``u v`` pair per undirected edge."""
-    src, dst = graph.to_edge_list()
+    """Write one ``u v`` pair per undirected edge, after the header."""
     with _open_write(path) as fh:
-        fh.write(f"# |V|={graph.num_vertices} |E|={graph.num_edges}\n")
-        for u, v in zip(src.tolist(), dst.tolist()):
-            fh.write(f"{u} {v}\n")
+        fh.write(format_edge_list(graph))
 
 
 def read_mtx(path: PathLike) -> CSRGraph:

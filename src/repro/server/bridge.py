@@ -4,35 +4,36 @@ A :class:`~repro.service.SolveService` is a blocking, batch-oriented
 API: ``submit`` then ``run()`` drains everything through the
 scheduler, cache, admission controller, and executor. The event loop
 must never sit inside that call, so the bridge owns one dedicated
-host thread that *micro-batches*: it sleeps until at least one request
-is queued, then takes everything queued at that instant, runs it as
-one service batch, and completes each request's
+host thread that *micro-batches*: it sleeps until a job is queued,
+takes everything queued at that instant, runs the solves as one
+service batch, and completes each job's
 :class:`concurrent.futures.Future` with its
-:class:`~repro.service.request.JobRecord`.
+:class:`~repro.service.request.JobRecord`. Requests that arrive
+together thus share one scheduler pass (``sef`` ordering and the
+result cache see one workload) and the service's executor, so
+``repro serve --workers N`` gets multi-device overlap for free.
 
-Micro-batching is not just an adapter trick -- it is what makes the
-network front-end compose with the rest of the stack: requests that
-arrive together share one scheduler pass (so ``sef`` ordering and the
-result cache see them as one workload) and drain through the
-service's configured executor, so ``repro serve --workers N`` gets
-genuine multi-device overlap from the PR-4 threaded executor with no
-new concurrency machinery here.
+Session operations (open / mutate / close, see docs/STREAMING.md) are
+jobs too: callables run on the worker *after* the solve batch taken in
+the same wakeup, in FIFO order, which serializes each session's
+epochs. Their solves run through :meth:`SolveBridge.run_requests`,
+the batch runner of the solve micro-batch.
 
-The bounded queue is the server's backpressure point, layered *in
-front of* the service's admission controller: ``submit`` raises
-:class:`BridgeQueueFull` when ``max_queue`` requests are already
-waiting, which the server answers with a retriable ``server_busy``
-error frame. Draining (SIGTERM / ``shutdown`` frame) lets the
-in-flight batch finish while every queued request fails fast with a
-retriable ``draining`` error.
+The bounded queue is the server's backpressure point, in front of the
+service's admission controller: past ``max_queue`` waiting jobs,
+``submit`` raises :class:`BridgeQueueFull` (``server_busy``).
+Draining lets the in-flight batch finish while every queued job fails
+fast with a retriable ``draining`` error. A batch that raises fails
+the jobs its wakeup took with ``internal``; the worker keeps serving.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
-from concurrent.futures import Future
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from concurrent.futures import Future, InvalidStateError
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import ServerError
 from ..log import get_logger
@@ -46,8 +47,6 @@ log = get_logger("server.bridge")
 QUEUED = "queued"
 RUNNING = "running"
 DONE = "done"
-CANCELLED = "cancelled"
-UNKNOWN = "unknown"
 
 
 class BridgeQueueFull(Exception):
@@ -58,29 +57,22 @@ class BridgeQueueFull(Exception):
         super().__init__(f"bridge queue full at {depth} request(s)")
 
 
-@dataclass
-class _Pending:
-    request: SolveRequest
-    future: "Future"
-    cancelled: bool = field(default=False)
+@dataclass(eq=False)
+class _Job:
+    """One queued or running unit of worker work.
 
-
-@dataclass
-class _SessionJob:
-    """One queued session operation: a callable run on the worker.
-
-    Session jobs (open / mutate / close, see docs/STREAMING.md) run on
-    the same worker thread as solve batches -- the only thread allowed
-    to drive the blocking service -- *after* the solve batch taken in
-    the same wakeup. The queue is FIFO, which serializes operations
-    per session (epochs apply in arrival order) while operations of
-    different sessions naturally interleave.
+    A solve carries its ``request`` (``key`` is its job id, under which
+    the bridge's live table holds it); a session operation carries
+    ``fn`` instead.
     """
 
-    fn: "object"
-    future: "Future"
-    label: str = ""
-    cancelled: bool = field(default=False)
+    future: Future
+    request: Optional[SolveRequest] = None
+    fn: Optional[Callable[[], Any]] = None
+    key: Optional[str] = None
+    state: str = QUEUED
+    #: newest completed-window checkpoint of a running solve
+    checkpoint: Any = None
 
 
 class SolveBridge:
@@ -92,11 +84,9 @@ class SolveBridge:
         self.service = service
         self.max_queue = max_queue
         self._cond = threading.Condition()
-        self._queue: List[_Pending] = []
-        self._session_queue: List[_SessionJob] = []
-        self._states: Dict[str, str] = {}
-        #: job id -> newest completed-window checkpoint (in-flight only)
-        self._checkpoints: Dict[str, object] = {}
+        self._queue: List[_Job] = []
+        #: job id -> queued or running solve; a job leaves it when done
+        self._live: Dict[str, _Job] = {}
         self._in_flight = 0
         self._draining = False
         self._stopped = False
@@ -117,7 +107,28 @@ class SolveBridge:
         capacity and :class:`~repro.errors.ServerError` (code
         ``draining``) once a drain has begun.
         """
-        future: Future = Future()
+        if request.job_id is None:
+            raise ValueError("bridge requests need a pre-assigned job_id")
+        # expose the newest completed-window checkpoint of this job
+        # while it is in flight (the ``checkpoint`` wire frame and,
+        # through it, the cluster router's failover shipping)
+        if request.checkpoint_sink is None:
+            request.checkpoint_sink = functools.partial(
+                self._keep_checkpoint, request.job_id
+            )
+        return self._enqueue(_Job(Future(), request=request, key=request.job_id))
+
+    def submit_session(self, fn: Callable[[], Any]) -> "Future":
+        """Queue one session operation; its future gets ``fn()``'s result.
+
+        ``fn`` runs on the worker thread, where it may drive the
+        service through :meth:`run_requests` (the session's localized
+        and full solves). Shares the queue bound and the drain
+        discipline with solve requests.
+        """
+        return self._enqueue(_Job(Future(), fn=fn))
+
+    def _enqueue(self, job: _Job) -> "Future":
         with self._cond:
             if self._draining or self._stopped:
                 raise ServerError(
@@ -127,60 +138,31 @@ class SolveBridge:
                 )
             if len(self._queue) >= self.max_queue:
                 raise BridgeQueueFull(len(self._queue))
-            if request.job_id is None:
-                raise ValueError("bridge requests need a pre-assigned job_id")
-            # expose the newest completed-window checkpoint of this job
-            # while it is in flight (the ``checkpoint`` wire frame and,
-            # through it, the cluster router's failover shipping)
-            job_id = request.job_id
-            if request.checkpoint_sink is None:
-                request.checkpoint_sink = (
-                    lambda ckpt, _id=job_id: self._store_checkpoint(_id, ckpt)
-                )
-            self._queue.append(_Pending(request, future))
-            self._states[request.job_id] = QUEUED
+            self._queue.append(job)
+            if job.key is not None:
+                self._live[job.key] = job
             self._idle.clear()
             self._cond.notify()
-        return future
+        return job.future
 
-    def submit_session(self, fn, label: str = "") -> "Future":
-        """Queue one session operation; its future gets ``fn()``'s result.
-
-        ``fn`` is a zero-argument callable executed on the worker
-        thread, where it may drive the service directly (the session's
-        localized and full solves). Shares the queue bound and the
-        drain discipline with solve requests.
-        """
-        future: Future = Future()
-        with self._cond:
-            if self._draining or self._stopped:
-                raise ServerError(
-                    "server is draining; retry against another replica",
-                    code="draining",
-                    retriable=True,
-                )
-            if len(self._session_queue) >= self.max_queue:
-                raise BridgeQueueFull(len(self._session_queue))
-            self._session_queue.append(_SessionJob(fn, future, label))
-            self._idle.clear()
-            self._cond.notify()
-        return future
-
-    def _store_checkpoint(self, job_id: str, ckpt) -> None:
+    def _keep_checkpoint(self, job_id: str, ckpt) -> None:
         """Record the latest checkpoint (called from the worker thread)."""
         with self._cond:
-            self._checkpoints[job_id] = ckpt
+            job = self._live.get(job_id)
+            if job is not None:
+                job.checkpoint = ckpt
 
     def checkpoint(self, job_id: str):
         """The newest completed-window checkpoint of an in-flight job.
 
         Returns a :class:`~repro.core.checkpoint.SearchCheckpoint` or
-        None (job unknown, finished, or not resumable). Checkpoints are
-        dropped once the job completes -- a finished job's result is
-        the better artefact.
+        None (job unknown, finished, or not resumable). A checkpoint
+        leaves with its job -- a finished job's result is the better
+        artefact.
         """
         with self._cond:
-            return self._checkpoints.get(job_id)
+            job = self._live.get(job_id)
+            return job.checkpoint if job is not None else None
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a still-queued job; running jobs cannot be stopped.
@@ -190,23 +172,23 @@ class SolveBridge:
         is already running, finished, or unknown.
         """
         with self._cond:
-            for pending in self._queue:
-                if pending.request.job_id == job_id and not pending.cancelled:
-                    pending.cancelled = True
-                    self._states[job_id] = CANCELLED
-                    pending.future.set_exception(
-                        ServerError(
-                            f"job {job_id} cancelled before it ran",
-                            code="cancelled",
-                        )
-                    )
-                    return True
-        return False
+            job = self._live.get(job_id)
+            if job is None or job.state != QUEUED:
+                return False
+            self._queue.remove(job)
+            self._finish(
+                job,
+                error=ServerError(
+                    f"job {job_id} cancelled before it ran", code="cancelled"
+                ),
+            )
+            return True
 
     def state(self, job_id: str) -> str:
-        """``queued`` / ``running`` / ``done`` / ``cancelled`` / ``unknown``."""
+        """``queued`` / ``running`` while the bridge holds it, else ``done``."""
         with self._cond:
-            return self._states.get(job_id, UNKNOWN)
+            job = self._live.get(job_id)
+            return job.state if job is not None else DONE
 
     @property
     def queue_depth(self) -> int:
@@ -215,7 +197,7 @@ class SolveBridge:
 
     @property
     def in_flight(self) -> int:
-        """Requests inside the currently-running service batch."""
+        """Jobs taken by the worker's current wakeup."""
         with self._cond:
             return self._in_flight
 
@@ -231,31 +213,16 @@ class SolveBridge:
         """
         with self._cond:
             self._draining = True
-            for pending in self._queue:
-                if not pending.cancelled:
-                    pending.cancelled = True
-                    self._states[pending.request.job_id] = CANCELLED
-                    pending.future.set_exception(
-                        ServerError(
-                            "server is draining; queued job rejected",
-                            code="draining",
-                            retriable=True,
-                        )
-                    )
-            self._queue.clear()
-            for job in self._session_queue:
-                if not job.cancelled:
-                    job.cancelled = True
-                    if not job.future.done():
-                        job.future.set_exception(
-                            ServerError(
-                                "server is draining; queued session "
-                                "operation rejected",
-                                code="draining",
-                                retriable=True,
-                            )
-                        )
-            self._session_queue.clear()
+            queued, self._queue = self._queue, []
+            for job in queued:
+                self._finish(
+                    job,
+                    error=ServerError(
+                        "server is draining; queued job rejected",
+                        code="draining",
+                        retriable=True,
+                    ),
+                )
             self._cond.notify()
         return self._idle.wait(timeout_s)
 
@@ -270,110 +237,101 @@ class SolveBridge:
     # ------------------------------------------------------------------
     # worker thread
     # ------------------------------------------------------------------
+    def _finish(self, job: _Job, result: Any = None, error=None) -> None:
+        """Complete one job: it leaves the live table, its future settles.
+
+        The one place a future is completed. A future its waiter has
+        already cancelled (a connection teardown cancels the wrapped
+        future) is left as it is: nobody is listening.
+        """
+        with self._cond:
+            self._live.pop(job.key, None)
+        try:
+            if error is None:
+                job.future.set_result(result)
+            else:
+                job.future.set_exception(error)
+        except InvalidStateError:
+            pass
+
     def _run(self) -> None:
         while True:
             with self._cond:
-                while (
-                    not self._queue
-                    and not self._session_queue
-                    and not self._stopped
-                ):
+                while not self._queue and not self._stopped:
                     self._idle.set()
                     self._cond.wait()
-                if self._stopped and not self._queue:
+                if not self._queue:
                     self._idle.set()
                     return
-                session_jobs = [
-                    j for j in self._session_queue if not j.cancelled
-                ]
-                self._session_queue.clear()
-                batch = []
-                for pending in self._queue:
-                    if pending.cancelled:
-                        continue
-                    deadline = getattr(pending.request, "deadline", None)
-                    if deadline is not None and deadline.expired:
+                taken, self._queue = self._queue, []
+                solves, sessions = [], []
+                for job in taken:
+                    deadline = job.request.deadline if job.request else None
+                    if not job.future.set_running_or_notify_cancel():
+                        # the waiter vanished: skip the work; a retry
+                        # re-submits with the same request_id
+                        self._live.pop(job.key, None)
+                    elif job.fn is not None:
+                        sessions.append(job)
+                    elif deadline is not None and deadline.expired:
                         # the client's budget ran out while the job sat
                         # queued: fail it retriable *now* instead of
                         # computing an answer nobody is waiting for
-                        self._states[pending.request.job_id] = DONE
-                        pending.future.set_exception(
-                            ServerError(
-                                f"job {pending.request.job_id} missed its "
-                                f"deadline while queued",
+                        self._finish(
+                            job,
+                            error=ServerError(
+                                f"job {job.key} missed its deadline while queued",
                                 code="deadline_exceeded",
                                 retriable=True,
                                 exit_code=3,
-                            )
+                            ),
                         )
-                        continue
-                    batch.append(pending)
-                self._queue.clear()
-                self._in_flight = len(batch) + len(session_jobs)
-                for pending in batch:
-                    self._states[pending.request.job_id] = RUNNING
-            if not batch and not session_jobs:
-                continue
+                    else:
+                        job.state = RUNNING
+                        solves.append(job)
+                self._in_flight = len(solves) + len(sessions)
             try:
-                if batch:
-                    self._run_batch(batch)
+                if solves:
+                    self._run_batch(solves)
                 # session operations run after the solve batch taken in
                 # the same wakeup, in FIFO order (per-session serialization)
-                for job in session_jobs:
-                    if job.future.done():
-                        # the waiter vanished (connection teardown
-                        # cancelled the wrapped future): skip the work;
-                        # a retry re-submits with the same request_id
-                        continue
+                for job in sessions:
                     try:
                         result = job.fn()
-                    except BaseException as exc:
-                        if not job.future.done():
-                            job.future.set_exception(exc)
+                    except Exception as exc:
+                        self._finish(job, error=exc)
                     else:
-                        if not job.future.done():
-                            job.future.set_result(result)
+                        self._finish(job, result)
+            except Exception as exc:  # a service-layer invariant broke
+                # contained: fail what this wakeup took, keep serving
+                log.exception("bridge batch of %d job(s) failed", len(solves))
+                for job in solves + sessions:
+                    self._finish(
+                        job, error=ServerError(f"internal service failure: {exc}")
+                    )
             finally:
                 with self._cond:
                     self._in_flight = 0
 
-    def _run_batch(self, batch: List[_Pending]) -> None:
-        try:
-            self._run_batch_inner(batch)
-        finally:
-            # finished jobs no longer expose a resume point
-            with self._cond:
-                for pending in batch:
-                    self._checkpoints.pop(pending.request.job_id, None)
+    def _run_batch(self, jobs: List[_Job]) -> None:
+        records = self.run_requests([job.request for job in jobs])
+        for job, record in zip(jobs, records):
+            if record is None:  # pragma: no cover - defensive
+                self._finish(
+                    job, error=ServerError("service returned no record for this job")
+                )
+            else:
+                self._finish(job, record)
 
-    def _run_batch_inner(self, batch: List[_Pending]) -> None:
-        by_id = {p.request.job_id: p for p in batch}
-        try:
-            for pending in batch:
-                self.service.submit(pending.request)
-            records = self.service.run()
-        except BaseException as exc:  # a service-layer invariant broke
-            log.exception("bridge batch of %d job(s) failed", len(batch))
-            for pending in batch:
-                self._states[pending.request.job_id] = DONE
-                if not pending.future.done():
-                    pending.future.set_exception(
-                        ServerError(f"internal service failure: {exc}")
-                    )
-            return
-        matched = 0
-        for record in records:
-            pending = by_id.get(record.job_id)
-            if pending is None:
-                continue  # a record from an earlier, unrelated run
-            self._states[record.job_id] = DONE
-            if not pending.future.done():
-                pending.future.set_result(record)
-                matched += 1
-        if matched != len(batch):  # pragma: no cover - defensive
-            for pending in batch:
-                if not pending.future.done():
-                    self._states[pending.request.job_id] = DONE
-                    pending.future.set_exception(
-                        ServerError("service returned no record for this job")
-                    )
+    def run_requests(self, requests: List[SolveRequest]) -> list:
+        """Run ``requests`` as one service batch; their records, in order.
+
+        Worker thread only -- the one thread allowed to drive the
+        service. The solve micro-batch and every session's solves come
+        through here. A request the service returned no record for
+        maps to None.
+        """
+        for request in requests:
+            self.service.submit(request)
+        by_id = {record.job_id: record for record in self.service.run()}
+        return [by_id.get(request.job_id) for request in requests]

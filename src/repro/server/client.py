@@ -27,6 +27,7 @@ again -- see docs/ROBUSTNESS.md.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import socket
 import time
@@ -54,6 +55,17 @@ def _parse_address(addr) -> "tuple":
             )
         return host or "127.0.0.1", int(port)
     raise TypeError(f"cannot parse {addr!r} as a server address")
+
+
+#: the handshake frame every connection opens with
+_HELLO = {"type": "hello", "protocol": protocol.PROTOCOL, "client": "repro-client"}
+
+
+def _config_spec(config, config_kwargs) -> Dict[str, Any]:
+    """One request's config: a dict or keyword options, not both."""
+    if config is not None and config_kwargs:
+        raise ValueError("pass either a config dict or keyword options, not both")
+    return dict(config) if config is not None else dict(config_kwargs)
 
 
 class SolveClient:
@@ -149,87 +161,47 @@ class SolveClient:
         return True
 
     def connect(self) -> Dict[str, Any]:
-        """Connect (with backoff on refusal) and complete the handshake.
+        """Connect and complete the handshake; returns the server's hello.
 
-        With several addresses configured, each failed attempt rotates
-        to the next one before backing off, so a single dead server
-        never exhausts the retry budget. Returns the server's hello
-        frame.
+        Retried like any request: with several addresses configured,
+        each failed attempt rotates to the next one before backing off,
+        so a single dead server never exhausts the retry budget.
         """
+        return self._retrying(lambda remaining: self._open())
+
+    def _open(self) -> Dict[str, Any]:
+        """One connection attempt and handshake (no-op when connected)."""
         if self._sock is not None:
-            assert self.server_hello is not None
             return self.server_hello
-        backoff = self.backoff_s
-        for attempt in range(self.retries + 1):
-            hello = None
-            try:
-                self._sock = socket.create_connection(
-                    (self.host, self.port), timeout=self.timeout_s
-                )
-                self._file = self._sock.makefile("rb")
-                self._send(
-                    {
-                        "type": "hello",
-                        "protocol": protocol.PROTOCOL,
-                        "client": "repro-client",
-                    }
-                )
-                hello = self._recv()
-            except (ServerError, ProtocolError):
-                # a server that *answered* with an error, or spoke
-                # garbage, is not a transient connect failure
-                self.close()
-                raise
-            except OSError as exc:
-                # refused outright, or (behind a flaky hop) accepted
-                # and then severed mid-handshake -- both retriable
-                self.close()
-                if attempt >= self.retries:
-                    targets = ", ".join(
-                        f"{h}:{p}" for h, p in self.addresses
-                    )
-                    raise ServerError(
-                        f"cannot connect to {targets}: {exc}",
-                        code="unreachable",
-                        retriable=True,
-                    ) from exc
-                log.debug(
-                    "connect to %s:%d failed (%s); retrying in %.2fs",
-                    self.host, self.port, exc, backoff,
-                )
-                self._rotate()
-                time.sleep(self._jitter(backoff))
-                backoff = min(backoff * 2, self.backoff_max_s)
-                continue
-            break
-        if hello.get("type") != "hello":
-            self.close()
-            raise ProtocolError(
-                f"expected a hello frame, got {hello.get('type')!r}"
+        try:
+            self._sock = socket.create_connection(
+                (self.host, self.port), timeout=self.timeout_s
             )
-        if hello.get("protocol") != protocol.PROTOCOL:
+            self._file = self._sock.makefile("rb")
+            self._send(_HELLO)
+            hello = self._recv()
+            if hello.get("type") != "hello":
+                raise ProtocolError(
+                    f"expected a hello frame, got {hello.get('type')!r}"
+                )
+            if hello.get("protocol") != protocol.PROTOCOL:
+                raise ProtocolError(
+                    f"server speaks {hello.get('protocol')!r}, "
+                    f"client needs {protocol.PROTOCOL}",
+                    code="unsupported_protocol",
+                )
+        except BaseException:
             self.close()
-            raise ProtocolError(
-                f"server speaks {hello.get('protocol')!r}, "
-                f"client needs {protocol.PROTOCOL}",
-                code="unsupported_protocol",
-            )
+            raise
         self.server_hello = hello
         return hello
 
     def close(self) -> None:
-        if self._file is not None:
-            try:
-                self._file.close()
-            except OSError:
-                pass
-            self._file = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
+        for handle in (self._file, self._sock):
+            if handle is not None:
+                with contextlib.suppress(OSError):
+                    handle.close()
+        self._file = self._sock = None
         self.server_hello = None
 
     def __enter__(self) -> "SolveClient":
@@ -283,42 +255,78 @@ class SolveClient:
                 )
                 continue
             if frame.get("type") == "error":
-                retriable, exit_code = protocol.ERROR_CODES.get(
-                    frame.get("code", "internal"), (False, 1)
-                )
-                err = ServerError(
-                    frame.get("message", "server error"),
-                    code=frame.get("code", "internal"),
-                    retriable=bool(frame.get("retriable", retriable)),
-                    exit_code=int(frame.get("exit_code", exit_code)),
-                )
-                err.retry_after_s = frame.get("retry_after_s")
-                raise err
+                raise protocol.error_from_frame(frame)
             return frame
 
     def _jitter(self, delay: float) -> float:
         """Scale a retry sleep by a seeded draw from ``[0.5, 1.0)``."""
         return delay * (0.5 + 0.5 * self._rng.random())
 
-    def _round_trip(
-        self, frame: Dict[str, Any], deadline_at: Optional[float] = None
+    def _request(
+        self,
+        ftype: str,
+        reply: str,
+        deadline_s: Optional[float] = None,
+        key: bool = False,
+        **fields: Any,
     ) -> Dict[str, Any]:
-        """Send one frame and read one reply, retrying retriable failures.
+        """Send one request, retrying retriable failures; its reply frame.
+
+        Every verb but :meth:`subscribe` comes through here. The frame
+        gets a fresh ``id`` unless ``fields`` names one (``status`` and
+        ``cancel`` ask about an earlier solve's id; ``stats`` and
+        ``shutdown`` pass None, as their replies carry none). ``key``
+        adds the idempotency ``request_id`` that every retry of this
+        call reuses verbatim, so resends dedup server-side instead of
+        executing twice. Fields that are None are left out. A reply of
+        another type than ``reply`` raises
+        :class:`~repro.errors.ProtocolError`.
+
+        ``deadline_s`` bounds the whole exchange, retries included:
+        each attempt ships the *remaining* budget as the frame's
+        ``deadline_s`` so every hop downstream knows how long the
+        answer is still wanted, and once the budget is spent the
+        client fails locally instead of sending a doomed request.
+        """
+        self._seq += 1
+        frame = {
+            "type": ftype,
+            "id": f"req-{self._seq}",
+            "request_id": f"{self._client_tag}-{self._seq}" if key else None,
+            **fields,
+        }
+        frame = {k: v for k, v in frame.items() if v is not None}
+
+        def exchange(remaining: Optional[float]) -> Dict[str, Any]:
+            if remaining is not None:
+                frame["deadline_s"] = round(remaining, 6)
+            self._open()
+            self._send(frame)
+            answer = self._recv(expect_id=frame.get("id"))
+            if answer.get("type") != reply:
+                raise ProtocolError(
+                    f"expected a {reply} frame, got {answer.get('type')!r}"
+                )
+            return answer
+
+        deadline_at = None
+        if deadline_s is not None:
+            deadline_at = time.perf_counter() + float(deadline_s)
+        return self._retrying(exchange, deadline_at)
+
+    def _retrying(self, exchange, deadline_at: Optional[float] = None):
+        """Run ``exchange(remaining_budget)`` under the retry policy.
 
         Connection failures and ``draining`` rejects rotate to the
         next configured address (when there is one) before retrying;
         other retriable error frames (``server_busy``,
         ``rate_limited``) stay on the same server, which asked for
-        patience rather than a different replica.
-
-        ``deadline_at`` (a ``time.perf_counter()`` instant) bounds the
-        whole exchange: each attempt ships the *remaining* budget as
-        the frame's ``deadline_s`` so every hop downstream knows how
-        long the answer is still wanted, and once the budget is spent
-        the client fails locally instead of sending a doomed request.
+        patience rather than a different replica. ``deadline_at`` (a
+        ``time.perf_counter()`` instant) caps the whole loop.
         """
         backoff = self.backoff_s
         for attempt in range(self.retries + 1):
+            remaining = None
             if deadline_at is not None:
                 remaining = deadline_at - time.perf_counter()
                 if remaining <= 0:
@@ -329,16 +337,15 @@ class SolveClient:
                         retriable=True,
                         exit_code=3,
                     )
-                frame["deadline_s"] = round(remaining, 6)
             try:
-                self.connect()
-                self._send(frame)
-                return self._recv(expect_id=frame.get("id"))
+                return exchange(remaining)
             except (ConnectionError, socket.timeout, OSError) as exc:
+                # refused, reset, or severed mid-frame: all retriable
                 self.close()
                 if attempt >= self.retries:
+                    targets = ", ".join(f"{h}:{p}" for h, p in self.addresses)
                     raise ServerError(
-                        f"connection to {self.host}:{self.port} failed: {exc}",
+                        f"cannot connect to {targets}: {exc}",
                         code="unreachable",
                         retriable=True,
                     ) from exc
@@ -417,11 +424,7 @@ class SolveClient:
         non-``ok`` record does *not* raise -- callers inspect the
         record just as batch callers do.
         """
-        if config is not None and config_kwargs:
-            raise ValueError(
-                "pass either a config dict or keyword options, not both"
-            )
-        spec = dict(config) if config is not None else dict(config_kwargs)
+        spec = _config_spec(config, config_kwargs)
         if problem is not None:
             hello = self.connect()
             advertised = hello.get("problems")
@@ -432,37 +435,19 @@ class SolveClient:
                     code="unsupported_problem",
                     retriable=False,
                 )
-        self._seq += 1
-        frame: Dict[str, Any] = {
-            "type": "solve",
-            "id": f"req-{self._seq}",
-            # the idempotency key: reused verbatim by every retry of
-            # this call, so resends dedup server-side instead of
-            # executing twice
-            "request_id": f"{self._client_tag}-{self._seq}",
-            "graph": protocol.encode_graph(graph),
-        }
-        if problem is not None:
-            frame["problem"] = problem
-        if spec:
-            frame["config"] = spec
-        if timeout_s is not None:
-            frame["timeout_s"] = timeout_s
-        if label:
-            frame["label"] = label
-        if max_report is not None:
-            frame["max_report"] = max_report
-        if checkpoint is not None:
-            frame["checkpoint"] = checkpoint
-        deadline_at = None
-        if deadline_s is not None:
-            deadline_at = time.perf_counter() + float(deadline_s)
-        reply = self._round_trip(frame, deadline_at=deadline_at)
-        if reply.get("type") != "result":
-            raise ProtocolError(
-                f"expected a result frame, got {reply.get('type')!r}"
-            )
-        return reply
+        return self._request(
+            "solve",
+            "result",
+            deadline_s,
+            key=True,
+            graph=protocol.encode_graph(graph),
+            problem=problem,
+            config=spec or None,
+            timeout_s=timeout_s,
+            label=label or None,
+            max_report=max_report,
+            checkpoint=checkpoint,
+        )
 
     # ------------------------------------------------------------------
     # streaming sessions
@@ -484,11 +469,7 @@ class SolveClient:
         ambiguous failure re-attaches to the session the first
         delivery created instead of failing with ``session_exists``.
         """
-        if config is not None and config_kwargs:
-            raise ValueError(
-                "pass either a config dict or keyword options, not both"
-            )
-        spec = dict(config) if config is not None else dict(config_kwargs)
+        spec = _config_spec(config, config_kwargs)
         hello = self.connect()
         if not hello.get("streaming"):
             raise ServerError(
@@ -496,27 +477,18 @@ class SolveClient:
                 code="unsupported_protocol",
                 retriable=False,
             )
-        self._seq += 1
         if session is None:
-            session = f"sess-{self._client_tag}-{self._seq}"
-        frame: Dict[str, Any] = {
-            "type": "open-session",
-            "id": f"req-{self._seq}",
-            "request_id": f"{self._client_tag}-{self._seq}",
-            "session": session,
-            "graph": protocol.encode_graph(graph),
-        }
-        if spec:
-            frame["config"] = spec
-        deadline_at = None
-        if deadline_s is not None:
-            deadline_at = time.perf_counter() + float(deadline_s)
-        reply = self._round_trip(frame, deadline_at=deadline_at)
-        if reply.get("type") != "session-opened":
-            raise ProtocolError(
-                f"expected a session-opened frame, got {reply.get('type')!r}"
-            )
-        return reply
+            # named after the request_id this call is about to stamp
+            session = f"sess-{self._client_tag}-{self._seq + 1}"
+        return self._request(
+            "open-session",
+            "session-opened",
+            deadline_s,
+            key=True,
+            session=session,
+            graph=protocol.encode_graph(graph),
+            config=spec or None,
+        )
 
     def mutate(
         self,
@@ -532,42 +504,19 @@ class SolveClient:
         of mutating twice (the session-level idempotency the chaos
         suite exercises).
         """
-        self._seq += 1
-        frame: Dict[str, Any] = {
-            "type": "mutate",
-            "id": f"req-{self._seq}",
-            "request_id": f"{self._client_tag}-{self._seq}",
-            "session": session,
-        }
-        if insert:
-            frame["insert"] = [[int(u), int(v)] for u, v in insert]
-        if delete:
-            frame["delete"] = [[int(u), int(v)] for u, v in delete]
-        deadline_at = None
-        if deadline_s is not None:
-            deadline_at = time.perf_counter() + float(deadline_s)
-        reply = self._round_trip(frame, deadline_at=deadline_at)
-        if reply.get("type") != "mutated":
-            raise ProtocolError(
-                f"expected a mutated frame, got {reply.get('type')!r}"
-            )
-        return reply
+        return self._request(
+            "mutate",
+            "mutated",
+            deadline_s,
+            key=True,
+            session=session,
+            insert=[[int(u), int(v)] for u, v in insert] or None,
+            delete=[[int(u), int(v)] for u, v in delete] or None,
+        )
 
     def close_session(self, session: str) -> Dict[str, Any]:
         """Close a session; returns the ``session-closed`` frame."""
-        self._seq += 1
-        reply = self._round_trip(
-            {
-                "type": "close-session",
-                "id": f"req-{self._seq}",
-                "session": session,
-            }
-        )
-        if reply.get("type") != "session-closed":
-            raise ProtocolError(
-                f"expected a session-closed frame, got {reply.get('type')!r}"
-            )
-        return reply
+        return self._request("close-session", "session-closed", session=session)
 
     def subscribe(self, session: str):
         """Generator of epoch-stamped ``update`` frames for one session.
@@ -598,21 +547,14 @@ class SolveClient:
 
     def stats(self) -> Dict[str, Any]:
         """The server's ``stats`` frame (server gauges + service snapshot)."""
-        reply = self._round_trip({"type": "stats"})
-        if reply.get("type") != "stats":
-            raise ProtocolError(
-                f"expected a stats frame, got {reply.get('type')!r}"
-            )
-        return reply
+        return self._request("stats", "stats", id=None)
 
     def status(self, request_id: str) -> Dict[str, Any]:
-        return self._round_trip({"type": "status", "id": request_id})
+        return self._request("status", "status", id=request_id)
 
     def cancel(self, request_id: str) -> Dict[str, Any]:
-        return self._round_trip({"type": "cancel", "id": request_id})
+        return self._request("cancel", "status", id=request_id)
 
     def shutdown(self) -> Dict[str, Any]:
         """Ask the server to drain; returns its ``bye`` frame."""
-        self.connect()
-        self._send({"type": "shutdown"})
-        return self._recv()
+        return self._request("shutdown", "bye", id=None)

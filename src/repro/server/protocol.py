@@ -39,29 +39,26 @@ from __future__ import annotations
 import base64
 import binascii
 import gzip
-import io as _io
 import json
+import zlib
 from typing import Any, Dict, Optional, Tuple
 
 from ..core.config import PROBLEM_KINDS, SolverConfig
-from ..errors import (
-    GraphFormatError,
-    JobSpecError,
-    ProtocolError,
-    SolverConfigError,
-)
+from ..errors import ProtocolError, ServerError, SolverConfigError
 from ..graph.csr import CSRGraph
-from ..graph.io import parse_edge_list_text
+from ..graph.io import format_edge_list, parse_edge_list_text
 
 __all__ = [
     "PROTOCOL",
     "DEFAULT_PORT",
     "MAX_FRAME_BYTES",
+    "MAX_INLINE_VERTICES",
     "ERROR_CODES",
     "SUPPORTED_PROBLEMS",
     "encode_frame",
     "decode_frame",
     "error_frame",
+    "error_from_frame",
     "hello_frame",
     "encode_graph",
     "decode_graph",
@@ -181,7 +178,8 @@ def decode_frame(line: bytes) -> Dict[str, Any]:
     """
     try:
         frame = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integers
         raise ProtocolError(f"malformed frame: {exc}", code="bad_frame") from exc
     if not isinstance(frame, dict):
         raise ProtocolError(
@@ -216,6 +214,21 @@ def error_frame(
     return frame
 
 
+def error_from_frame(frame: Dict[str, Any]) -> ServerError:
+    """The :class:`~repro.errors.ServerError` a received ``error`` frame
+    describes; fields it leaves out come from :data:`ERROR_CODES`."""
+    code = frame.get("code", "internal")
+    retriable, exit_code = ERROR_CODES.get(code, ERROR_CODES["internal"])
+    err = ServerError(
+        frame.get("message", "server error"),
+        code=code,
+        retriable=bool(frame.get("retriable", retriable)),
+        exit_code=int(frame.get("exit_code", exit_code)),
+    )
+    err.retry_after_s = frame.get("retry_after_s")
+    return err
+
+
 def hello_frame(max_frame_bytes: int, server: str) -> Dict[str, Any]:
     """The server's hello reply: protocol id plus capability advert.
 
@@ -243,12 +256,7 @@ def encode_graph(graph) -> Any:
     if isinstance(graph, str):
         return graph
     if isinstance(graph, CSRGraph):
-        src, dst = graph.to_edge_list()
-        buf = _io.StringIO()
-        buf.write(f"# |V|={graph.num_vertices} |E|={graph.num_edges}\n")
-        for u, v in zip(src.tolist(), dst.tolist()):
-            buf.write(f"{u} {v}\n")
-        data = gzip.compress(buf.getvalue().encode("utf-8"))
+        data = gzip.compress(format_edge_list(graph).encode("utf-8"))
         return {
             "kind": "edgelist-gz",
             "data": base64.b64encode(data).decode("ascii"),
@@ -282,7 +290,9 @@ def decode_graph(payload) -> CSRGraph:
                     )
                 from ..graph.build import from_edge_list
 
-                return from_edge_list([(int(u), int(v)) for u, v in edges])
+                pairs = [(int(u), int(v)) for u, v in edges]
+                _check_vertex_ids(pairs, "edges payload")
+                return from_edge_list(pairs)
             if kind == "edgelist-gz":
                 data = payload.get("data")
                 if not isinstance(data, str):
@@ -295,16 +305,19 @@ def decode_graph(payload) -> CSRGraph:
                         base64.b64decode(data, validate=True)
                     ).decode("utf-8")
                 except (binascii.Error, gzip.BadGzipFile, EOFError,
-                        UnicodeDecodeError, ValueError) as exc:
+                        UnicodeDecodeError, ValueError, zlib.error) as exc:
                     raise ProtocolError(
                         f"edgelist-gz payload is corrupt: {exc}",
                         code="bad_request",
                     ) from exc
-                return parse_edge_list_text(text, source="<wire>")
+                return parse_edge_list_text(
+                    text, source="<wire>", max_vertices=MAX_INLINE_VERTICES
+                )
             raise ProtocolError(
                 f"unknown graph payload kind {kind!r}", code="bad_request"
             )
-    except (JobSpecError, GraphFormatError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError, OSError) as exc:
+        # ValueError covers JobSpecError and GraphFormatError
         raise ProtocolError(f"bad graph payload: {exc}", code="bad_request") from exc
     raise ProtocolError(
         f"graph payload must be a string or object, got "
@@ -341,6 +354,47 @@ def validate_request_key(frame: Dict[str, Any]) -> Optional[str]:
     return request_key
 
 
+def _config_from_frame(frame: Dict[str, Any]) -> SolverConfig:
+    """A request frame's ``config`` object and ``problem`` field, validated.
+
+    ``problem`` is sugar for ``config.problem``; naming the kind in
+    both places is a ``bad_request``.
+    """
+    config_spec = frame.get("config", {})
+    if not isinstance(config_spec, dict):
+        raise ProtocolError("'config' must be an object", code="bad_request")
+    config_spec = dict(config_spec)
+    bad = set(config_spec) - _CONFIG_FIELDS
+    if bad:
+        raise ProtocolError(
+            f"unknown config key(s) {sorted(bad)}", code="bad_request"
+        )
+    problem = frame.get("problem")
+    if problem is not None:
+        if not isinstance(problem, str):
+            raise ProtocolError("'problem' must be a string", code="bad_request")
+        if "problem" in config_spec:
+            raise ProtocolError(
+                "'problem' given both as a frame field and a config key; "
+                "use one",
+                code="bad_request",
+            )
+        config_spec["problem"] = problem
+    requested = config_spec.get("problem")
+    if requested is not None and requested not in SUPPORTED_PROBLEMS:
+        # distinct, non-retriable code: the request is well-formed but
+        # names a kind this server build cannot solve
+        raise ProtocolError(
+            f"unsupported problem kind {requested!r}; this server solves "
+            f"{sorted(SUPPORTED_PROBLEMS)}",
+            code="unsupported_problem",
+        )
+    try:
+        return SolverConfig(**config_spec)
+    except (SolverConfigError, ValueError, TypeError) as exc:
+        raise ProtocolError(f"invalid config: {exc}", code="bad_request") from exc
+
+
 def solve_request_from_frame(frame: Dict[str, Any]):
     """Validate a ``solve`` frame into ``(SolveRequest, max_report)``.
 
@@ -362,50 +416,20 @@ def solve_request_from_frame(frame: Dict[str, Any]):
     if "graph" not in frame:
         raise ProtocolError("solve frame needs a 'graph'", code="bad_request")
     graph = decode_graph(frame["graph"])
-
-    config_spec = frame.get("config", {})
-    if not isinstance(config_spec, dict):
-        raise ProtocolError("'config' must be an object", code="bad_request")
-    config_spec = dict(config_spec)
-    bad = set(config_spec) - _CONFIG_FIELDS
-    if bad:
-        raise ProtocolError(
-            f"unknown config key(s) {sorted(bad)}", code="bad_request"
-        )
-    problem = frame.get("problem")
-    if problem is not None:
-        if not isinstance(problem, str):
-            raise ProtocolError("'problem' must be a string", code="bad_request")
-        if "problem" in config_spec:
-            raise ProtocolError(
-                "'problem' given both as a solve field and a config key; "
-                "use one",
-                code="bad_request",
-            )
-        config_spec["problem"] = problem
-    requested = config_spec.get("problem")
-    if requested is not None and requested not in SUPPORTED_PROBLEMS:
-        # distinct, non-retriable code: the request is well-formed but
-        # names a kind this server build cannot solve
-        raise ProtocolError(
-            f"unsupported problem kind {requested!r}; this server solves "
-            f"{sorted(SUPPORTED_PROBLEMS)}",
-            code="unsupported_problem",
-        )
-    try:
-        config = SolverConfig(**config_spec)
-    except (SolverConfigError, ValueError, TypeError) as exc:
-        raise ProtocolError(f"invalid config: {exc}", code="bad_request") from exc
-
+    config = _config_from_frame(frame)
     validate_request_key(frame)
     timeout_s = frame.get("timeout_s")
     if timeout_s is not None and not isinstance(timeout_s, (int, float)):
         raise ProtocolError("'timeout_s' must be a number", code="bad_request")
     deadline_s = frame.get("deadline_s")
     if deadline_s is not None and (
-        isinstance(deadline_s, bool) or not isinstance(deadline_s, (int, float))
+        isinstance(deadline_s, bool)
+        or not isinstance(deadline_s, (int, float))
+        or not abs(deadline_s) < 1e300  # nan, inf, or past float range
     ):
-        raise ProtocolError("'deadline_s' must be a number", code="bad_request")
+        raise ProtocolError(
+            "'deadline_s' must be a finite number", code="bad_request"
+        )
     label = frame.get("label", "")
     if not isinstance(label, str):
         raise ProtocolError("'label' must be a string", code="bad_request")
@@ -501,42 +525,41 @@ def open_session_from_frame(frame: Dict[str, Any]):
             "open-session frame needs a 'graph'", code="bad_request"
         )
     graph = decode_graph(frame["graph"])
-    config_spec = frame.get("config", {})
-    if not isinstance(config_spec, dict):
-        raise ProtocolError("'config' must be an object", code="bad_request")
-    config_spec = dict(config_spec)
-    bad = set(config_spec) - _CONFIG_FIELDS
-    if bad:
+    config = _config_from_frame(frame)
+    if config.problem != "max-clique":
         raise ProtocolError(
-            f"unknown config key(s) {sorted(bad)}", code="bad_request"
-        )
-    problem = frame.get("problem")
-    if problem is not None:
-        if not isinstance(problem, str):
-            raise ProtocolError("'problem' must be a string", code="bad_request")
-        config_spec.setdefault("problem", problem)
-    requested = config_spec.get("problem", "max-clique")
-    if requested != "max-clique":
-        raise ProtocolError(
-            f"sessions maintain ω(G); problem kind {requested!r} is not "
+            f"sessions maintain ω(G); problem kind {config.problem!r} is not "
             "streamable",
             code="bad_request",
         )
-    if config_spec.get("omega_floor"):
+    if config.omega_floor:
         raise ProtocolError(
             "omega_floor is managed by the session's incremental solver",
             code="bad_request",
         )
-    try:
-        config = SolverConfig(**config_spec)
-    except (SolverConfigError, ValueError, TypeError) as exc:
-        raise ProtocolError(f"invalid config: {exc}", code="bad_request") from exc
     validate_request_key(frame)
     return sid, graph, config
 
 
 #: cap on one mutation batch's combined insert+delete edge count
 MAX_MUTATION_EDGES = 100_000
+
+#: cap on the vertices one frame may make the server allocate (memory
+#: grows per vertex up to the largest id): inline graphs and mutations
+#: keep their ids below it. 32x road-grid-360, the largest suite graph
+MAX_INLINE_VERTICES = 1 << 22
+
+
+def _check_vertex_ids(pairs, what: str) -> None:
+    """Refuse ``(u, v)`` pairs with an id outside ``[0, MAX_INLINE_VERTICES)``."""
+    if not all(
+        0 <= u < MAX_INLINE_VERTICES and 0 <= v < MAX_INLINE_VERTICES
+        for u, v in pairs
+    ):
+        raise ProtocolError(
+            f"{what} vertex ids must lie in [0, {MAX_INLINE_VERTICES})",
+            code="bad_request",
+        )
 
 
 def mutation_from_frame(frame: Dict[str, Any]):
@@ -579,6 +602,7 @@ def mutation_from_frame(frame: Dict[str, Any]):
             f"mutation batch exceeds {MAX_MUTATION_EDGES} edges",
             code="bad_request",
         )
+    _check_vertex_ids(inserts + deletes, "mutation")
     validate_request_key(frame)
     return sid, inserts, deletes
 

@@ -442,10 +442,14 @@ class SolveServer(WireEndpoint):
         job_id = conn.jobs.get(request_id)
         known = job_id is not None
         cancelled = ftype == "cancel" and known and self.bridge.cancel(job_id)
+        if cancelled:
+            state = "cancelled"
+        else:
+            state = self.bridge.state(job_id) if known else "unknown"
         reply = {
             "type": "status" if ftype == "cancel" else ftype,
             "id": request_id,
-            "state": self.bridge.state(job_id) if known else "unknown",
+            "state": state,
         }
         if ftype == "cancel":
             reply["cancelled"] = cancelled
@@ -461,30 +465,26 @@ class SolveServer(WireEndpoint):
         """Service-backed solve backend for one session's solver.
 
         The returned callable runs on the bridge worker -- the only
-        thread allowed to drive the blocking service -- so session
-        solves (localized and full) share the scheduler, result cache,
+        thread allowed to drive the blocking service -- and runs its
+        jobs through the bridge's batch runner, so session solves
+        (localized and full) share the scheduler, result cache,
         admission controller, and executor with ordinary ``solve``
         traffic.
         """
         from ..service.request import SolveRequest
 
         def solve_batch(jobs):
-            requests = []
-            for graph, config in jobs:
-                requests.append(
-                    SolveRequest(
-                        graph=graph,
-                        config=config,
-                        job_id=f"{sid}-sess{next(self._session_seq)}",
-                        label=f"session:{sid}",
-                    )
+            requests = [
+                SolveRequest(
+                    graph=graph,
+                    config=config,
+                    job_id=f"{sid}-sess{next(self._session_seq)}",
+                    label=f"session:{sid}",
                 )
-            for request in requests:
-                self.service.submit(request)
-            by_id = {r.job_id: r for r in self.service.run()}
+                for graph, config in jobs
+            ]
             out = []
-            for request in requests:
-                record = by_id.get(request.job_id)
+            for record in self.bridge.run_requests(requests):
                 if record is None or not record.ok or record.result is None:
                     reason = record.error if record is not None else "no record"
                     raise ServerError(f"session {sid!r} solve failed: {reason}")
@@ -623,9 +623,7 @@ class SolveServer(WireEndpoint):
         sessions' operations interleave with each other and with solve
         batches.
         """
-        future = await self._to_bridge(
-            conn, rid, self.bridge.submit_session, fn, reply_type
-        )
+        future = await self._to_bridge(conn, rid, self.bridge.submit_session, fn)
         if future is not None:
             conn.spawn(self._await_session_op(conn, rid, future, reply_type, closing))
 

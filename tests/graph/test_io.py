@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import GraphFormatError
 from repro.graph import (
+    from_edge_list,
     load_graph,
     read_dimacs,
     read_edge_list,
@@ -27,6 +28,13 @@ class TestEdgeList:
         write_edge_list(graph, path)
         g2 = read_edge_list(path)
         assert (g2.col_indices == graph.col_indices).all()
+
+    def test_round_trip_keeps_trailing_isolated_vertices(self, tmp_path):
+        triangle = from_edge_list([(0, 1), (1, 2), (0, 2)], num_vertices=6)
+        write_edge_list(triangle, tmp_path / "g.edges")
+        g = read_edge_list(tmp_path / "g.edges")
+        assert g.num_vertices == 6
+        assert g.fingerprint() == triangle.fingerprint()
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -183,6 +191,33 @@ class TestParseEdgeListText:
         with pytest.raises(GraphFormatError) as excinfo:
             parse_edge_list_text("0 1\nbroken\n", source="<unit>")
         assert "<unit>" in str(excinfo.value)
+
+    def test_header_keeps_trailing_isolated_vertices(self):
+        from repro.graph import parse_edge_list_text
+
+        g = parse_edge_list_text("# |V|=6 |E|=3\n0 1\n1 2\n0 2\n")
+        assert g.num_vertices == 6 and g.num_edges == 3
+
+    def test_id_at_the_header_count_rejected(self):
+        from repro.graph import parse_edge_list_text
+
+        with pytest.raises(GraphFormatError):
+            parse_edge_list_text("# |V|=3\n0 1\n1 3\n")
+
+    @pytest.mark.parametrize(
+        "text", ["0 5\n", "# |V|=6\n0 1\n", "0 99999999999999999999\n"]
+    )
+    def test_max_vertices_bounds_ids_and_header(self, text):
+        from repro.graph import parse_edge_list_text
+
+        with pytest.raises(GraphFormatError):
+            parse_edge_list_text(text, max_vertices=5)
+
+    def test_max_vertices_admits_a_graph_at_the_bound(self):
+        from repro.graph import parse_edge_list_text
+
+        g = parse_edge_list_text("# |V|=5\n0 4\n", max_vertices=5)
+        assert g.num_vertices == 5
 
 
 class TestLoadGraph:

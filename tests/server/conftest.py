@@ -10,6 +10,8 @@ it can send partial frames, garbage bytes, and pipelined requests the
 well-behaved :class:`SolveClient` never would.
 """
 
+import base64
+import gzip
 import json
 import socket
 
@@ -23,6 +25,12 @@ from repro.service import SolveService
 
 #: a triangle plus a pendant vertex: decodes fast, omega == 3
 TRIANGLE_EDGES = [[0, 1], [1, 2], [0, 2], [2, 3]]
+
+
+def gz_payload(text):
+    """An ``edgelist-gz`` graph payload carrying ``text`` verbatim."""
+    data = base64.b64encode(gzip.compress(text.encode())).decode()
+    return {"kind": "edgelist-gz", "data": data}
 
 
 @pytest.fixture(scope="module")

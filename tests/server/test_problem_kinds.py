@@ -136,6 +136,13 @@ class TestKindsOverTheWire:
         assert record["clique_number"] == len(oracle[-1])
         assert [tuple(row) for row in reply["cliques"]] == oracle
 
+    def test_trailing_isolated_vertices_survive_the_wire(self, server, make_client):
+        # each isolated vertex is a singleton maximal clique
+        graph = from_edge_list([(0, 1), (1, 2), (0, 2)], num_vertices=6)
+        reply = make_client(server).solve(graph, problem="maximal-enum")
+        assert reply["record"]["num_maximal_cliques"] == 4
+        assert [tuple(row) for row in reply["cliques"]] == maximal_clique_set(graph)
+
     def test_max_report_caps_enum_rows(self, server, make_client, community):
         client = make_client(server)
         reply = client.solve(community, problem="maximal-enum", max_report=2)

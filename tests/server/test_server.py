@@ -21,9 +21,10 @@ from repro.errors import ServerError
 from repro.server import ServerConfig, protocol
 from repro.service import SolveService
 
-from .conftest import TRIANGLE_EDGES
+from .conftest import TRIANGLE_EDGES, gz_payload
 
 TRIANGLE = {"kind": "edges", "edges": TRIANGLE_EDGES}
+CAP = protocol.MAX_INLINE_VERTICES
 
 
 def _slow_service(delay_s, **kwargs):
@@ -312,6 +313,26 @@ class TestAbuse:
             # the endpoint keeps accepting fresh connections afterwards
             assert raw_conn(endpoint).hello()["type"] == "hello"
 
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"type": "solve", "graph": {"kind": "edges", "edges": [[0, CAP]]}},
+            {"type": "solve", "graph": gz_payload(f"0 1\n1 {CAP}\n")},
+            {"type": "solve", "graph": gz_payload(f"# |V|={CAP + 1}\n0 1\n")},
+            {"type": "mutate", "session": "s", "insert": [[CAP, 0]]},
+        ],
+        ids=["edges-ids", "edgelist-gz-ids", "edgelist-gz-header", "mutate-ids"],
+    )
+    def test_vertex_cap_refused_connection_survives(self, server, raw_conn, frame):
+        conn = raw_conn(server)
+        conn.hello()
+        conn.send({**frame, "id": "big"})
+        reply = conn.recv()
+        assert reply["type"] == "error" and reply["id"] == "big"
+        assert reply["code"] == "bad_request"
+        conn.send({"type": "solve", "id": "small", "graph": TRIANGLE})
+        assert conn.recv()["record"]["clique_number"] == 3
+
     def test_mid_solve_disconnect_does_not_wedge(
         self, make_server, make_client, raw_conn, community
     ):
@@ -424,6 +445,25 @@ class TestClientRetry:
             client.connect()
         assert excinfo.value.code == "unreachable"
         assert excinfo.value.retriable
+
+    def test_retries_bound_the_connection_attempts(self, monkeypatch):
+        import socket
+
+        from repro.server import SolveClient
+
+        attempts = []
+        connect = socket.create_connection
+
+        def counting(*args, **kwargs):
+            attempts.append(args[0])
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", counting)
+        client = SolveClient(port=1, retries=3, backoff_s=0.001, backoff_max_s=0.001)
+        with pytest.raises(ServerError) as excinfo:
+            client.stats()
+        assert excinfo.value.code == "unreachable"
+        assert len(attempts) == 4  # the request's loop, not one inside another
 
     def test_concurrent_clients_all_served(self, server, make_client):
         from repro.graph import generators as gen
