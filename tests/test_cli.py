@@ -198,14 +198,32 @@ class TestLogLevel:
         assert capsys.readouterr().out == ""
 
 
-#: every option of the service and listener subcommands, with its default
+#: the flags every client verb, ``watch`` and ``cluster-status`` share
+CLIENT = {
+    "--host": "127.0.0.1", "--port": None, "--retries": 5, "--wait": 120.0,
+    "--addr": None,
+}
+
+#: every option of every subcommand, with its default
 OPTIONS = {
+    "solve": {
+        "--problem": "max-clique", "--k": None, "--heuristic": "multi-degree",
+        "--window": None, "--window-order": "natural", "--adaptive": False,
+        "--memory-mib": 192, "--time-limit": None, "--timeout": None,
+        "--max-report": 20, "--json": False, "--checkpoint": None,
+        "--trace": None, "--trace-chrome": None,
+    },
     "batch": {
         "--devices": 1, "--policy": "fifo", "--cache-size": 128,
         "--memory-mib": 192, "--timeout": None, "--max-attempts": 3,
         "--executor": "serial", "--workers": None, "--fault-plan": None,
         "--json": False, "--output": None, "--trace": None,
         "--trace-chrome": None,
+    },
+    "info": {"--no-triangles": False},
+    "datasets": {"--category": None, "--sizes": False},
+    "compare": {
+        "--memory-mib": 192, "--k": 3, "--trace": None, "--trace-chrome": None,
     },
     "serve": {
         "--host": "127.0.0.1", "--port": None, "--workers": 1,
@@ -225,21 +243,54 @@ OPTIONS = {
         "--upstream": None, "--host": "127.0.0.1", "--port": 0,
         "--plan": None, "--max-frame-mib": 8,
     },
+    "client solve": {
+        "--problem": "max-clique", "--k": None, "--heuristic": "multi-degree",
+        "--window": None, "--window-order": "natural", "--adaptive": False,
+        "--timeout": None, "--deadline": None, "--max-report": 20,
+        "--json": False, **CLIENT,
+    },
+    "client stats": {"--json": False, **CLIENT},
+    "client shutdown": dict(CLIENT),
+    "client mutate": {
+        "--insert": None, "--delete": None, "--json": False, **CLIENT,
+    },
+    "client close-session": dict(CLIENT),
+    "watch": {
+        "--graph": None, "--max-updates": None, "--json": False, **CLIENT,
+    },
+    "cluster-status": {"--json": False, **CLIENT},
 }
 
 
-class TestOptions:
-    @pytest.mark.parametrize("command", sorted(OPTIONS))
-    def test_option_names_and_defaults(self, command):
-        """The shared argument groups keep each subcommand's flags."""
-        parser = build_parser()
+def _subcommand(parser, name):
+    """The parser of subcommand ``name`` (``"client solve"`` descends)."""
+    for word in name.split():
         sub = next(
             a for a in parser._actions
             if isinstance(a, argparse._SubParsersAction)
         )
+        parser = sub.choices[word]
+    return parser
+
+
+class TestOptions:
+    def test_every_subcommand_is_pinned(self):
+        parser = build_parser()
+        names = set()
+        for name in ("", "client"):
+            sub = next(
+                a for a in _subcommand(parser, name)._actions
+                if isinstance(a, argparse._SubParsersAction)
+            )
+            names |= {f"{name} {verb}".strip() for verb in sub.choices}
+        assert names - {"client"} == set(OPTIONS)
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_option_names_and_defaults(self, command):
+        """The shared argument groups keep each subcommand's flags."""
         options = {
             flag: action.default
-            for action in sub.choices[command]._actions
+            for action in _subcommand(build_parser(), command)._actions
             for flag in action.option_strings
             if flag not in ("-h", "--help")
         }
