@@ -82,10 +82,6 @@ class ServerConfig:
     dedup_capacity: int = 1024
     #: cap on concurrently resident streaming sessions
     max_sessions: int = 64
-    #: incremental-solver fallback knobs of every session this server
-    #: hosts (see :class:`~repro.stream.incremental.IncrementalSolver`)
-    session_dirty_threshold: float = 0.5
-    session_max_localized: int = 64
 
 
 class _DedupEntry:
@@ -528,8 +524,6 @@ class SolveServer(WireEndpoint):
                 graph,
                 config,
                 solve_batch=self._session_solve_batch(sid),
-                dirty_threshold=self.config.session_dirty_threshold,
-                max_localized=self.config.session_max_localized,
                 tracer=self.service.tracer,
             )
             session.open_request_id = request_key

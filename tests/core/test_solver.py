@@ -182,8 +182,9 @@ class TestConfigValidation:
         assert c.early_exit_heuristic
 
     def test_bad_time_limit(self):
-        with pytest.raises(SolverConfigError):
-            SolverConfig(time_limit_s=0)
+        for bad in (0, -1.5, float("nan"), float("inf"), 10**400, True):
+            with pytest.raises(SolverConfigError):
+                SolverConfig(time_limit_s=bad)
 
     def test_bad_heuristic_runs(self):
         with pytest.raises(SolverConfigError):

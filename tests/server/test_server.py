@@ -320,8 +320,18 @@ class TestAbuse:
             {"type": "solve", "graph": gz_payload(f"0 1\n1 {CAP}\n")},
             {"type": "solve", "graph": gz_payload(f"# |V|={CAP + 1}\n0 1\n")},
             {"type": "mutate", "session": "s", "insert": [[CAP, 0]]},
+            # one edge, but its lines inflate past the text cap
+            {
+                "type": "solve",
+                "graph": gz_payload(
+                    "0 1\n" * (protocol.MAX_INLINE_TEXT_BYTES // 4 + 1)
+                ),
+            },
         ],
-        ids=["edges-ids", "edgelist-gz-ids", "edgelist-gz-header", "mutate-ids"],
+        ids=[
+            "edges-ids", "edgelist-gz-ids", "edgelist-gz-header", "mutate-ids",
+            "edgelist-gz-text",
+        ],
     )
     def test_vertex_cap_refused_connection_survives(self, server, raw_conn, frame):
         conn = raw_conn(server)
@@ -332,6 +342,23 @@ class TestAbuse:
         assert reply["code"] == "bad_request"
         conn.send({"type": "solve", "id": "small", "graph": TRIANGLE})
         assert conn.recv()["record"]["clique_number"] == 3
+
+    def test_refused_timeout_spares_the_solves_batched_with_it(
+        self, make_server, raw_conn
+    ):
+        server = make_server(service=_slow_service(0.4))
+        conn = raw_conn(server)
+        conn.hello()
+        conn.send({"type": "solve", "id": "busy", "graph": TRIANGLE})
+        time.sleep(0.15)  # busy holds the worker: the next two queue together
+        # a graph nobody solved yet: a cache hit would never read the budget
+        edge = {"kind": "edges", "edges": [[0, 1]]}
+        conn.send({"type": "solve", "id": "bad", "graph": edge, "timeout_s": 10**400})
+        conn.send({"type": "solve", "id": "good", "graph": "road-grid-60"})
+        replies = {frame["id"]: frame for frame in _collect(conn, 3)}
+        assert replies["bad"]["code"] == "bad_request"
+        assert replies["good"]["record"]["status"] == "ok"
+        assert replies["busy"]["record"]["status"] == "ok"
 
     def test_mid_solve_disconnect_does_not_wedge(
         self, make_server, make_client, raw_conn, community

@@ -75,6 +75,9 @@ class TestBatch:
         path.write_text(json.dumps([{"graph": "g", "confg": {}}]))
         assert main(["batch", str(path)]) == 2
         assert "confg" in capsys.readouterr().out
+        path.write_text(json.dumps([{"graph": "road-grid-60", "timeout_s": 0}]))
+        assert main(["batch", str(path)]) == 2
+        assert "timeout_s" in capsys.readouterr().out
 
     def test_missing_jobs_file_exits_2(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path / "nope.json")]) == 2

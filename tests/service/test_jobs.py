@@ -68,6 +68,19 @@ class TestParseJobs:
         with pytest.raises(JobSpecError, match="heuristc"):
             parse_jobs([{"graph": graph_file, "config": {"heuristc": "none"}}])
 
+    @pytest.mark.parametrize(
+        "timeout_s",
+        [0, -1, "soon", True, 10**400],
+        ids=["zero", "negative", "string", "bool", "past-float-range"],
+    )
+    def test_bad_timeout_refused(self, graph_file, timeout_s):
+        with pytest.raises(JobSpecError, match="timeout_s"):
+            parse_jobs([{"graph": graph_file, "timeout_s": timeout_s}])
+        with pytest.raises(JobSpecError, match="timeout_s"):
+            parse_jobs(
+                {"defaults": {"timeout_s": timeout_s}, "jobs": [{"graph": graph_file}]}
+            )
+
     def test_invalid_config_combination(self, graph_file):
         with pytest.raises(JobSpecError, match="invalid config"):
             parse_jobs(
