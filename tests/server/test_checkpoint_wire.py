@@ -62,7 +62,7 @@ class TestCheckpointFrame:
             {
                 "type": "solve",
                 "id": "ck",
-                "graph": {"kind": "dataset", "name": "ca-team-1k"},
+                "graph": "ca-team-1k",
                 "config": {"window_size": 128},
             }
         )
