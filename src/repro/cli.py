@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, List, Optional, Tuple
 
-from .core.config import PROBLEM_KINDS, SolverConfig
+from .core.config import PROBLEM_KINDS, SolverConfig, is_time_budget
 from .core.solver import MaxCliqueSolver
 from .errors import (
     CheckpointError,
@@ -268,6 +268,19 @@ def _config_fields(args: argparse.Namespace) -> dict:
     }
 
 
+def _time_budget(text: str) -> float:
+    """``--timeout`` of ``batch``/``serve``: :func:`is_time_budget` or exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if not is_time_budget(value):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive finite number of seconds"
+        )
+    return value
+
+
 def _add_service_args(p: argparse.ArgumentParser) -> None:
     """The SolveService knobs ``batch`` and ``serve`` share."""
     p.add_argument(
@@ -288,7 +301,7 @@ def _add_service_args(p: argparse.ArgumentParser) -> None:
         help="per-device memory budget in MiB (default 192)",
     )
     p.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_time_budget, default=None, metavar="SECONDS",
         help="default per-job wall-clock budget (jobs may override)",
     )
     p.add_argument(

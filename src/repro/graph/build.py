@@ -8,7 +8,7 @@ the index/degree sorting comparisons.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -20,6 +20,7 @@ __all__ = [
     "from_edge_array",
     "from_adjacency",
     "relabel_random",
+    "splice_edges",
     "induced_subgraph",
     "graph_union",
 ]
@@ -140,6 +141,72 @@ def graph_union(*graphs: CSRGraph) -> CSRGraph:
     )
 
 
+def _pair_keys(pairs: Iterable[EdgePair], n: int) -> np.ndarray:
+    """Sorted ``row * n + col`` keys of undirected pairs, both directions."""
+    arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise GraphFormatError(f"vertex id outside [0, {n})")
+    if np.any(arr[:, 0] == arr[:, 1]):
+        raise GraphFormatError("self loops are not allowed")
+    u, v = arr[:, 0], arr[:, 1]
+    return np.unique(np.concatenate([u * n + v, v * n + u]))
+
+
+def splice_edges(
+    base: CSRGraph,
+    inserted: Iterable[EdgePair],
+    deleted: Iterable[EdgePair],
+    num_vertices: int,
+) -> CSRGraph:
+    """``base`` minus ``deleted`` plus ``inserted``, over ``num_vertices``.
+
+    Byte-identical to :func:`from_edge_array` on the resulting edge set
+    and vertex count, but derived from ``base.edge_keys`` instead of a
+    sort of the whole graph. The deleted keys are cut out and the
+    inserted keys put in at their ``searchsorted`` positions, and
+    ``col_indices`` is spliced at the same positions; each row's start
+    is the ``searchsorted`` position of its first possible key. Only
+    when ``num_vertices`` differs from the base's is every edge
+    re-keyed. The spliced keys become the result's ``edge_keys``, so
+    the next splice from it needs no key rebuild.
+
+    Every deleted pair must be an edge of ``base`` and no inserted pair
+    may be one (:class:`~repro.errors.GraphFormatError` otherwise).
+    Deleted pairs are keyed in the base's own universe, before any
+    re-key: a deleted edge may touch a vertex past a smaller
+    ``num_vertices`` (a rolled-back universe), and keyed in that
+    smaller universe its key would name a different edge.
+    """
+    n0 = base.num_vertices
+    n = int(num_vertices)
+    if n > np.iinfo(np.int32).max:
+        raise GraphFormatError("graphs beyond int32 vertex ids are unsupported")
+    keys = base.edge_keys
+    cols = base.col_indices
+    gone = _pair_keys(deleted, n0)
+    if gone.size:
+        at = np.searchsorted(keys, gone)
+        if at[-1] >= keys.size or np.any(keys[at] != gone):
+            raise GraphFormatError("a deleted edge is not in the base graph")
+        keys = np.delete(keys, at)
+        cols = np.delete(cols, at)
+    if n != n0 and keys.size:
+        if n < n0 and (keys[-1] // n0 >= n or cols.max() >= n):
+            raise GraphFormatError("an edge outlives the shrunk vertex universe")
+        keys = keys // n0 * n + cols
+    new = _pair_keys(inserted, n)
+    if new.size:
+        at = np.searchsorted(keys, new)
+        hit = at < keys.size
+        if np.any(keys[at[hit]] == new[hit]):
+            raise GraphFormatError("an inserted edge is already in the base graph")
+        keys = np.insert(keys, at, new)
+        cols = np.insert(cols, at, (new % n).astype(np.int32))
+    # row r's keys are the ones in [r*n, (r+1)*n)
+    row_offsets = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return CSRGraph(row_offsets, cols, validate=False, edge_keys=keys)
+
+
 def induced_subgraph(
     graph: CSRGraph, vertices: np.ndarray
 ) -> Tuple[CSRGraph, np.ndarray]:
@@ -147,14 +214,29 @@ def induced_subgraph(
 
     Returns ``(subgraph, original_ids)`` where ``original_ids[i]`` is
     the input-graph id of subgraph vertex ``i``.
+
+    Gathers only the rows of ``vertices`` from the CSR and maps their
+    columns through a local id table, dropping neighbours outside the
+    set. The map is monotone, so each row stays sorted and the CSR is
+    built directly, byte-identical to :func:`from_edge_array` on the
+    induced edges. Besides filling the O(|V|) id table, the cost is
+    O(sum of the set's degrees), not a pass over every edge.
     """
     vertices = np.unique(np.asarray(vertices, dtype=np.int64))
     n = graph.num_vertices
-    local = np.full(n, -1, dtype=np.int64)
-    local[vertices] = np.arange(vertices.size)
-    src, dst = graph.to_edge_list()
-    mask = (local[src] >= 0) & (local[dst] >= 0)
-    sub = from_edge_array(
-        local[src[mask]], local[dst[mask]], num_vertices=vertices.size
-    )
-    return sub, vertices
+    k = vertices.size
+    if k and (vertices[0] < 0 or vertices[-1] >= n):
+        raise GraphFormatError(f"vertex id outside [0, {n})")
+    local = np.full(n, -1, dtype=np.int32)
+    local[vertices] = np.arange(k, dtype=np.int32)
+    starts = graph.row_offsets[vertices]
+    lengths = graph.row_offsets[vertices + 1] - starts
+    # flat positions of the gathered rows: each row's run of columns
+    first = np.cumsum(lengths) - lengths
+    at = np.arange(int(lengths.sum())) + np.repeat(starts - first, lengths)
+    cols = local[graph.col_indices[at]]
+    keep = cols >= 0
+    rows = np.repeat(np.arange(k), lengths)[keep]
+    row_offsets = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=k), out=row_offsets[1:])
+    return CSRGraph(row_offsets, cols[keep], validate=False), vertices

@@ -51,6 +51,9 @@ class CSRGraph:
         ``int32`` array of neighbor ids, sorted within each row.
     validate:
         When true (default), check structural invariants up front.
+    edge_keys:
+        The graph's :attr:`edge_keys`, when the builder already holds
+        them; otherwise they are derived on first use.
     """
 
     __slots__ = (
@@ -66,10 +69,11 @@ class CSRGraph:
         row_offsets: np.ndarray,
         col_indices: np.ndarray,
         validate: bool = True,
+        edge_keys: Optional[np.ndarray] = None,
     ) -> None:
         self.row_offsets = np.ascontiguousarray(row_offsets, dtype=np.int64)
         self.col_indices = np.ascontiguousarray(col_indices, dtype=np.int32)
-        self._edge_keys: Optional[np.ndarray] = None
+        self._edge_keys = edge_keys
         self._lookup_cost: Optional[np.ndarray] = None
         self._fingerprint: Optional[str] = None
         if validate:

@@ -380,17 +380,24 @@ class SolveServer(WireEndpoint):
         )
 
     def _prune_dedup(self) -> None:
-        """Evict oldest *completed* entries past the capacity bound."""
-        capacity = max(int(self.config.dedup_capacity), 0)
-        if len(self._dedup) <= capacity:
+        """Evict oldest *completed* entries past the capacity bound.
+
+        Walks from the oldest entry only until it has found the excess,
+        skipping in-flight entries, so a full table costs O(evicted)
+        per solve rather than a copy of every key.
+        """
+        excess = len(self._dedup) - max(int(self.config.dedup_capacity), 0)
+        if excess <= 0:
             return
-        for key in list(self._dedup):
-            if len(self._dedup) <= capacity:
-                break
-            entry = self._dedup[key]
+        evict = []
+        for key, entry in self._dedup.items():
             if entry.record is not None or entry.future.done():
-                del self._dedup[key]
-                self.stats.inc("dedup.evictions")
+                evict.append(key)
+                if len(evict) == excess:
+                    break
+        for key in evict:
+            del self._dedup[key]
+            self.stats.inc("dedup.evictions")
 
     async def _await_result(
         self, conn, request_id, job_id, future, max_report, t0, entry=None

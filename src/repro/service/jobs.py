@@ -186,12 +186,15 @@ def parse_jobs(payload: Union[list, dict], source: str = "<jobs>") -> List[Solve
             raise JobSpecError(
                 f"{where}: 'timeout_s' must be a positive finite number"
             )
+        priority = job.get("priority", defaults.get("priority", 0))
+        if not isinstance(priority, int) or isinstance(priority, bool):
+            raise JobSpecError(f"{where}: 'priority' must be an integer")
         requests.append(
             SolveRequest(
                 graph=resolve_graph(graph_name),
                 config=config,
                 job_id=job.get("id"),
-                priority=int(job.get("priority", defaults.get("priority", 0))),
+                priority=priority,
                 timeout_s=timeout_s,
                 label=job.get("label", graph_name),
             )
@@ -206,6 +209,7 @@ def load_jobs(path: Union[str, Path]) -> List[SolveRequest]:
         payload = json.loads(p.read_text(encoding="utf-8"))
     except OSError as exc:
         raise JobSpecError(f"cannot read jobs file {p}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer past the digit limit
         raise JobSpecError(f"{p} is not valid JSON: {exc}")
     return parse_jobs(payload, source=str(p))

@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..core.config import SolverConfig
+from ..core.config import SolverConfig, is_time_budget
 from ..core.result import KCliqueCountResult, MaximalEnumResult
 from ..core.solver import MaxCliqueSolver
 from ..engine.executor import Executor, resolve_executor
@@ -124,7 +124,9 @@ class SolveService:
     max_attempts:
         Attempts per job along the degradation ladder (>= 1).
     default_timeout_s:
-        Per-job wall-clock budget applied when a request carries none.
+        Per-job wall-clock budget applied when a request carries none;
+        ``None`` or a value :func:`~repro.core.config.is_time_budget`
+        accepts (``ValueError`` otherwise).
     tracer:
         Receives ``service.job`` spans and ``service.*`` counters plus
         all nested pipeline spans/kernels; defaults to the no-op
@@ -173,6 +175,8 @@ class SolveService:
         executor: Union[str, Executor, None] = None,
         workers: Optional[int] = None,
     ) -> None:
+        if default_timeout_s is not None and not is_time_budget(default_timeout_s):
+            raise ValueError("default_timeout_s must be a positive finite number")
         self.pool = DevicePool(devices, spec)
         if fault_plan is not None:
             self.pool.install_fault_plan(fault_plan)

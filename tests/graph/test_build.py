@@ -119,6 +119,39 @@ class TestInducedSubgraph:
         assert sub.num_vertices == 2
         assert ids.tolist() == [0, 1]
 
+    def test_out_of_range_id_rejected(self, triangle):
+        with pytest.raises(GraphFormatError):
+            induced_subgraph(triangle, np.array([0, 3]))
+
+    @given(
+        n=st.integers(0, 30),
+        p=st.floats(0.0, 0.9),
+        seed=st.integers(0, 2**16),
+        picks=st.one_of(
+            st.just("all"), st.lists(st.integers(0, 29), max_size=40)
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_gather_matches_the_edge_list_construction(self, n, p, seed, picks):
+        graph = gen.erdos_renyi(n, p, seed=seed)
+        vertices = np.arange(n) if picks == "all" else [v % n for v in picks if n]
+        sub, ids = induced_subgraph(graph, np.asarray(vertices, dtype=np.int64))
+        # the construction the gather replaced: flatten, filter, rebuild
+        want_ids = np.unique(np.asarray(vertices, dtype=np.int64))
+        local = np.full(n, -1, dtype=np.int64)
+        local[want_ids] = np.arange(want_ids.size)
+        src, dst = graph.to_edge_list()
+        mask = (local[src] >= 0) & (local[dst] >= 0)
+        want = from_edge_array(
+            local[src[mask]], local[dst[mask]], num_vertices=want_ids.size
+        )
+        assert ids.dtype == want_ids.dtype and ids.tolist() == want_ids.tolist()
+        for name in ("row_offsets", "col_indices", "edge_keys"):
+            got, ref = getattr(sub, name), getattr(want, name)
+            assert got.dtype == ref.dtype, name
+            assert got.tobytes() == ref.tobytes(), name
+        assert sub.fingerprint() == want.fingerprint()
+
 
 class TestGraphUnion:
     def test_union_of_disjoint_edges(self):

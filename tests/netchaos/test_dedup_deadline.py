@@ -7,12 +7,14 @@ every layer instead of being computed for nobody.
 """
 
 import time
+from concurrent.futures import Future
 
 import pytest
 
 from repro.core.deadline import Deadline
 from repro.errors import ServerError
 from repro.server import ServerConfig, SolveClient, protocol
+from repro.server.server import SolveServer, _DedupEntry
 from repro.service import SolveService
 from repro.service.request import SolveRequest
 from tests.cluster.conftest import FakeBackend
@@ -117,6 +119,18 @@ class TestDedup:
         assert jobs_total(server) == 4
         assert server.server.stats.get("dedup.replays") == 1
         assert len(server.server._dedup) <= 2
+
+    def test_prune_skips_in_flight_entries(self):
+        """An in-flight head survives; the oldest completed entry goes."""
+        server = SolveServer(SolveService(), ServerConfig(dedup_capacity=2))
+        for key in ("running", "done-1", "done-2"):
+            entry = _DedupEntry(key, Future(), None)
+            if key != "running":
+                entry.record = object()
+            server._dedup[key] = entry
+        server._prune_dedup()
+        assert list(server._dedup) == ["running", "done-2"]
+        assert server.stats.get("dedup.evictions") == 1
 
     def test_bad_request_id_rejected(self, make_server, raw_conn, community):
         server = make_server()

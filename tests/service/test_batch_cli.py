@@ -78,6 +78,19 @@ class TestBatch:
         path.write_text(json.dumps([{"graph": "road-grid-60", "timeout_s": 0}]))
         assert main(["batch", str(path)]) == 2
         assert "timeout_s" in capsys.readouterr().out
+        path.write_text(json.dumps([{"graph": "road-grid-60", "priority": "soon"}]))
+        assert main(["batch", str(path)]) == 2
+        assert "'priority' must be an integer" in capsys.readouterr().out
+        path.write_text('[{"graph": "road-grid-60", "priority": %s}]' % ("9" * 5000))
+        assert main(["batch", str(path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("timeout", ["0", "-1", "inf"])
+    def test_bad_timeout_is_a_usage_error(self, jobs_file, timeout, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["batch", jobs_file, "--timeout", timeout])
+        assert exc_info.value.code == 2
+        assert "--timeout" in capsys.readouterr().err
 
     def test_missing_jobs_file_exits_2(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path / "nope.json")]) == 2

@@ -81,6 +81,18 @@ class TestParseJobs:
                 {"defaults": {"timeout_s": timeout_s}, "jobs": [{"graph": graph_file}]}
             )
 
+    @pytest.mark.parametrize(
+        "priority", ["soon", 1.5, True, None],
+        ids=["string", "float", "bool", "null"],
+    )
+    def test_bad_priority_refused(self, graph_file, priority):
+        with pytest.raises(JobSpecError, match=r"job #0: 'priority'"):
+            parse_jobs([{"graph": graph_file, "priority": priority}])
+        with pytest.raises(JobSpecError, match=r"job #0: 'priority'"):
+            parse_jobs(
+                {"defaults": {"priority": priority}, "jobs": [{"graph": graph_file}]}
+            )
+
     def test_invalid_config_combination(self, graph_file):
         with pytest.raises(JobSpecError, match="invalid config"):
             parse_jobs(
@@ -117,5 +129,14 @@ class TestLoadJobs:
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
+        with pytest.raises(JobSpecError, match="not valid JSON"):
+            load_jobs(path)
+
+    def test_over_long_integer(self, tmp_path, graph_file):
+        # json.loads raises a plain ValueError past the int digit limit
+        path = tmp_path / "long.json"
+        path.write_text(
+            '[{"graph": %s, "priority": %s}]' % (json.dumps(graph_file), "9" * 5000)
+        )
         with pytest.raises(JobSpecError, match="not valid JSON"):
             load_jobs(path)

@@ -355,6 +355,11 @@ class TestTimeout:
         record = service.solve(community, timeout_s=60.0)
         assert record.status == "ok"
 
+    @pytest.mark.parametrize("timeout_s", [0, -1.0, float("inf"), True])
+    def test_bad_default_timeout_refused_at_construction(self, timeout_s):
+        with pytest.raises(ValueError, match="default_timeout_s"):
+            SolveService(default_timeout_s=timeout_s)
+
 
 class TestStatsSnapshot:
     def test_fresh_service(self):

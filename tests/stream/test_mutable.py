@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import from_edge_list
 from repro.graph.build import from_edge_array
@@ -143,6 +145,73 @@ class TestRevert:
         mg.revert(delta)
         assert mg.epoch == 0
         assert mg.num_edges == 3
+
+    def test_revert_past_a_compaction_keeps_every_edge(self):
+        # the compaction leaves a 6-vertex base; the revert takes the
+        # universe back to 3, where (0, 5) and (1, 2) share key 5
+        mg = MutableGraph(fresh(TRIANGLE), compact_every=1)
+        before = materialized_fingerprint(mg)
+        delta = mg.apply(inserts=[(0, 5)])
+        mg.materialize()
+        assert mg.base.num_vertices == 6
+        mg.revert(delta)
+        graph = mg.materialize()
+        assert graph.num_edges == 3 and graph.has_edge(1, 2)
+        assert graph.fingerprint() == before
+
+
+def assert_matches_oracle(graph, edges, num_vertices):
+    """``graph`` is byte for byte ``from_edge_array`` over ``edges``."""
+    pairs = np.asarray(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    want = from_edge_array(pairs[:, 0], pairs[:, 1], num_vertices=num_vertices)
+    for name in ("row_offsets", "col_indices", "edge_keys"):
+        got, ref = getattr(graph, name), getattr(want, name)
+        assert got.dtype == ref.dtype, name
+        assert got.tobytes() == ref.tobytes(), name
+    assert graph.fingerprint() == want.fingerprint()
+
+
+@st.composite
+def edit_scripts(draw):
+    """A base graph, ``compact_every`` and steps of applies and reverts.
+
+    Ids reach past the base's universe, batches may be no-ops, a step
+    applies one to three batches before the next materialize, and a
+    step may revert the newest deltas.
+    """
+    n = draw(st.integers(0, 7))
+    top = n + 3  # ids up to here grow the universe
+    pair = st.tuples(st.integers(0, top), st.integers(0, top)).filter(
+        lambda e: e[0] != e[1]
+    )
+    base = draw(st.sets(pair.filter(lambda e: max(e) < n), max_size=12))
+    batch = st.tuples(st.lists(pair, max_size=4), st.lists(pair, max_size=4))
+    step = st.tuples(st.lists(batch, min_size=1, max_size=3), st.integers(0, 2))
+    steps = draw(st.lists(step, min_size=1, max_size=6))
+    compact_every = draw(st.integers(1, 5))
+    return n, base, steps, compact_every
+
+
+@given(script=edit_scripts())
+@settings(max_examples=200, deadline=None)
+def test_every_epoch_matches_an_independent_rebuild(script):
+    n, base, steps, compact_every = script
+    edges = {tuple(sorted(e)) for e in base}
+    mg = MutableGraph(fresh(sorted(edges), n), compact_every=compact_every)
+    assert_matches_oracle(mg.materialize(), edges, n)
+    undo = []  # (delta, edges before it, universe before it)
+    for batches, reverts in steps:
+        for ins, dels in batches:
+            ins = {tuple(sorted(e)) for e in ins}
+            dels = {tuple(sorted(e)) for e in dels} - ins
+            undo.append((mg.apply(ins, dels), set(edges), n))
+            edges = (edges - dels) | ins
+            n = max([n] + [v + 1 for _, v in ins])
+        for _ in range(min(reverts, len(undo))):
+            delta, edges, n = undo.pop()
+            mg.revert(delta)
+        assert mg.num_vertices == n and mg.num_edges == len(edges)
+        assert_matches_oracle(mg.materialize(), edges, n)
 
 
 def test_delta_size_property():

@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.config import SolverConfig
 from repro.errors import SessionError
-from repro.graph import from_edge_list
-from repro.stream import GraphSession, SessionManager, local_solve_batch
+from repro.graph import build, from_edge_list
+from repro.graph import generators as gen
+from repro.stream import GraphSession, SessionManager, local_solve_batch, mutable
 from repro.trace import CounterTracer
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2), (2, 3)]
@@ -90,6 +91,58 @@ class TestGraphSession:
         # the failed request_id was not recorded: the retry executes
         retry = session.apply(inserts=[(0, 3), (1, 3)], request_id="rq-x")
         assert retry.epoch == 1 and retry.omega == 4 and not retry.replayed
+
+    def test_rollback_past_a_compaction_keeps_the_epoch_graph(self):
+        calls = []
+
+        def flaky(jobs):
+            calls.append(len(jobs))
+            if len(calls) == 2:
+                raise RuntimeError("backend exploded")
+            return local_solve_batch(jobs)
+
+        session = make_session(solve_batch=flaky, compact_every=1)
+        epoch0 = session.view.fingerprint
+        # the batch compacts into a 7-vertex base before the solve fails;
+        # back in the 4-vertex universe (0, 6) and (1, 2) share a key
+        with pytest.raises(RuntimeError, match="backend exploded"):
+            session.apply(inserts=[(0, 6), (1, 6)])
+        graph = session.mutable.materialize()
+        assert graph.num_edges == 4 and graph.has_edge(1, 2)
+        assert graph.fingerprint() == epoch0
+        view = session.apply(inserts=[(0, 3)])
+        assert view.fingerprint == from_edge_list(TRIANGLE + [(0, 3)]).fingerprint()
+
+    def test_mutations_never_rebuild_the_whole_graph(self, monkeypatch):
+        graph = gen.caveman_social(6, 12, p_in=0.6, seed=4)
+        n = graph.num_vertices
+        closures = []  # absent edges that each close a triangle
+        for w in range(n):
+            u, *others = graph.neighbors(w).tolist()
+            v = next((v for v in others if not graph.has_edge(u, v)), None)
+            if v is not None and (u, v) not in closures:
+                closures.append((u, v))
+        session = GraphSession("cave", graph)
+        src, dst = graph.to_edge_list()
+        edges = set(zip(src.tolist(), dst.tolist()))
+
+        def rebuild(*args, **kwargs):
+            raise AssertionError("an epoch rebuilt the CSR from its edge list")
+
+        monkeypatch.setattr(build, "from_edge_array", rebuild)
+        monkeypatch.setattr(mutable, "from_edge_array", rebuild)
+        for i in range(10):
+            # a triangle closure plus an edge to a vertex past the universe,
+            # whose previous one goes again
+            inserts = [closures[i], (closures[i][0], n + i)]
+            deletes = [(closures[i - 1][0], n + i - 1)] if i else []
+            view = session.apply(inserts, deletes)
+            assert view.path == "incremental"
+            edges = (edges | set(inserts)) - set(deletes)
+        assert session.stats()["localized_solves"] > 0
+        monkeypatch.undo()
+        rebuilt = from_edge_list(sorted(edges), num_vertices=n + 10)
+        assert view.fingerprint == rebuilt.fingerprint()
 
     def test_bad_mutation_is_a_session_error(self):
         session = make_session()
