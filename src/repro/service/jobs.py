@@ -210,6 +210,7 @@ def load_jobs(path: Union[str, Path]) -> List[SolveRequest]:
     except OSError as exc:
         raise JobSpecError(f"cannot read jobs file {p}: {exc}")
     except ValueError as exc:
-        # a JSONDecodeError, or an integer past the digit limit
+        # a JSONDecodeError, bytes that are not UTF-8, or an integer
+        # past the interpreter's digit limit
         raise JobSpecError(f"{p} is not valid JSON: {exc}")
     return parse_jobs(payload, source=str(p))

@@ -132,6 +132,12 @@ class TestLoadJobs:
         with pytest.raises(JobSpecError, match="not valid JSON"):
             load_jobs(path)
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'\xff\xfe[{"graph": "g"}]')
+        with pytest.raises(JobSpecError, match="not valid JSON"):
+            load_jobs(path)
+
     def test_over_long_integer(self, tmp_path, graph_file):
         # json.loads raises a plain ValueError past the int digit limit
         path = tmp_path / "long.json"

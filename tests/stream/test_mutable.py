@@ -184,7 +184,10 @@ def edit_scripts(draw):
     pair = st.tuples(st.integers(0, top), st.integers(0, top)).filter(
         lambda e: e[0] != e[1]
     )
-    base = draw(st.sets(pair.filter(lambda e: max(e) < n), max_size=12))
+    base = set()
+    if n > 1:
+        inside = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        base = draw(st.sets(inside.filter(lambda e: e[0] != e[1]), max_size=12))
     batch = st.tuples(st.lists(pair, max_size=4), st.lists(pair, max_size=4))
     step = st.tuples(st.lists(batch, min_size=1, max_size=3), st.integers(0, 2))
     steps = draw(st.lists(step, min_size=1, max_size=6))
