@@ -53,7 +53,8 @@ class CSRGraph:
         When true (default), check structural invariants up front.
     edge_keys:
         The graph's :attr:`edge_keys`, when the builder already holds
-        them; otherwise they are derived on first use.
+        them (it must pass exactly the keys the arrays imply); otherwise
+        they are derived on first use.
     """
 
     __slots__ = (
