@@ -666,8 +666,8 @@ def _cmd_chaos_proxy(args: argparse.Namespace) -> int:
     if args.plan is not None:
         try:
             plan = load_net_fault_plan(args.plan)
-        except (OSError, NetFaultPlanError) as exc:
-            raise SystemExit(f"error: cannot load {args.plan}: {exc}")
+        except NetFaultPlanError as exc:
+            raise SystemExit(f"error: {exc}")
     proxy = ChaosProxy(
         upstream,
         plan=plan,

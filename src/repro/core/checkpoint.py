@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, read_json
 
 __all__ = ["CHECKPOINT_SCHEMA", "SearchCheckpoint", "load_checkpoint"]
 
@@ -179,11 +179,5 @@ class SearchCheckpoint:
 
 def load_checkpoint(path: Union[str, Path]) -> SearchCheckpoint:
     """Read and parse a checkpoint file (JSON, ``repro-checkpoint/1``)."""
-    p = Path(path)
-    try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {p}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{p} is not valid JSON: {exc}")
-    return SearchCheckpoint.from_dict(payload, source=str(p))
+    payload = read_json(path, CheckpointError, "checkpoint")
+    return SearchCheckpoint.from_dict(payload, source=str(path))

@@ -8,6 +8,10 @@ inputs raise :class:`GraphFormatError`.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+from typing import Any, Type, Union
+
 __all__ = [
     "ReproError",
     "AdmissionRejectedError",
@@ -27,6 +31,7 @@ __all__ = [
     "SolveTimeoutError",
     "TransientDeviceError",
     "TransientKernelError",
+    "read_json",
 ]
 
 
@@ -248,3 +253,22 @@ class ServerError(ReproError, RuntimeError):
         self.retriable = bool(retriable)
         self.exit_code = int(exit_code)
         super().__init__(message)
+
+
+def read_json(path: Union[str, Path], error: Type[ReproError], what: str) -> Any:
+    """Parse the JSON input file ``path``, refusing it with ``error``.
+
+    The one reader behind every JSON input file (jobs, fault plans,
+    checkpoints): a file that cannot be read, text that is not JSON,
+    bytes that are not UTF-8, an integer past the interpreter's digit
+    limit and nesting past the recursion limit all raise ``error``
+    with a message that names the path once; ``what`` names the file's
+    role in it.
+    """
+    p = Path(path)
+    try:
+        return json.loads(p.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"cannot read {what} {p}: {exc.strerror or exc}")
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{p} is not valid JSON: {exc}")

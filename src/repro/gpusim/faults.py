@@ -33,9 +33,10 @@ bit-identical with the feature compiled in but unused.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -43,7 +44,9 @@ from ..errors import (
     DeviceLostError,
     FaultPlanError,
     FlakyAllocError,
+    ReproError,
     TransientKernelError,
+    read_json,
 )
 
 __all__ = [
@@ -53,6 +56,7 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "load_fault_plan",
+    "parse_plan_document",
 ]
 
 #: schema identifier stamped into serialized fault plans
@@ -233,40 +237,12 @@ class FaultPlan:
         optional ``devices`` / ``horizon`` -- which is materialized via
         :meth:`from_rates` and merged with the explicit events.
         """
-        if not isinstance(payload, dict):
-            raise FaultPlanError(f"{source}: expected an object at top level")
-        unknown = set(payload) - {"schema", "seed", "events", "rates"}
-        if unknown:
-            raise FaultPlanError(f"{source}: unknown key(s) {sorted(unknown)}")
-        schema = payload.get("schema", FAULT_PLAN_SCHEMA)
-        if schema != FAULT_PLAN_SCHEMA:
-            raise FaultPlanError(
-                f"{source}: unsupported schema {schema!r} "
-                f"(expected {FAULT_PLAN_SCHEMA!r})"
-            )
-        seed = int(payload.get("seed", 0))
-        events = payload.get("events", [])
-        if not isinstance(events, list):
-            raise FaultPlanError(f"{source}: 'events' must be a list")
-        try:
-            plan_events = [
-                e if isinstance(e, dict) else dict(e) for e in events
-            ]
-        except TypeError:
-            raise FaultPlanError(f"{source}: events must be objects")
-        merged: List[Union[FaultEvent, Dict[str, Any]]] = list(plan_events)
-        rates = payload.get("rates")
+        seed, lists, rates = parse_plan_document(
+            payload, source, FaultPlanError, FAULT_PLAN_SCHEMA, ("events",),
+            ("transient_kernel", "device_lost", "flaky_alloc", "devices", "horizon"),
+        )
+        merged: List[Union[FaultEvent, Dict[str, Any]]] = list(lists["events"])
         if rates is not None:
-            if not isinstance(rates, dict):
-                raise FaultPlanError(f"{source}: 'rates' must be an object")
-            bad = set(rates) - {
-                "transient_kernel", "device_lost", "flaky_alloc",
-                "devices", "horizon",
-            }
-            if bad:
-                raise FaultPlanError(
-                    f"{source}: unknown rates key(s) {sorted(bad)}"
-                )
             generated = cls.from_rates(
                 seed,
                 devices=int(rates.get("devices", 1)),
@@ -344,13 +320,57 @@ class FaultInjector:
             self._fire(device, kind, f"alloc ordinal {ordinal}")
 
 
+def parse_plan_document(
+    payload: Any,
+    source: str,
+    error: Type[ReproError],
+    schema: str,
+    lists: Tuple[str, ...],
+    rate_keys: Tuple[str, ...],
+) -> Tuple[int, Dict[str, List[Dict[str, Any]]], Optional[Dict[str, Any]]]:
+    """Check the shape every fault-plan document shares.
+
+    A plan is an object with an optional ``schema`` (which must equal
+    ``schema``), a non-negative integer ``seed``, the lists named in
+    ``lists`` -- each of objects -- and an optional ``rates`` object
+    mapping keys of ``rate_keys`` to finite numbers. Anything else
+    raises ``error``. Returns ``(seed, {list name: entries}, rates)``.
+    """
+    if not isinstance(payload, dict):
+        raise error(f"{source}: expected an object at top level")
+    unknown = set(payload) - {"schema", "seed", "rates", *lists}
+    if unknown:
+        raise error(f"{source}: unknown key(s) {sorted(unknown)}")
+    found = payload.get("schema", schema)
+    if found != schema:
+        raise error(
+            f"{source}: unsupported schema {found!r} (expected {schema!r})"
+        )
+    seed = payload.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise error(f"{source}: 'seed' must be a non-negative integer")
+    entries = {}
+    for name in lists:
+        entries[name] = payload.get(name, [])
+        if not isinstance(entries[name], list):
+            raise error(f"{source}: {name!r} must be a list")
+        if not all(isinstance(e, dict) for e in entries[name]):
+            raise error(f"{source}: {name} must be objects")
+    rates = payload.get("rates")
+    if rates is not None:
+        if not isinstance(rates, dict):
+            raise error(f"{source}: 'rates' must be an object")
+        bad = set(rates) - set(rate_keys)
+        if bad:
+            raise error(f"{source}: unknown rates key(s) {sorted(bad)}")
+        for key, value in rates.items():
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and -math.inf < value < math.inf):
+                raise error(f"{source}: rates {key!r} must be a finite number")
+    return seed, entries, rates
+
+
 def load_fault_plan(path: Union[str, Path]) -> FaultPlan:
     """Read and parse a fault-plan file (JSON, ``repro-fault-plan/1``)."""
-    p = Path(path)
-    try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FaultPlanError(f"cannot read fault plan {p}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise FaultPlanError(f"{p} is not valid JSON: {exc}")
-    return FaultPlan.from_dict(payload, source=str(p))
+    payload = read_json(path, FaultPlanError, "fault plan")
+    return FaultPlan.from_dict(payload, source=str(path))

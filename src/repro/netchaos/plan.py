@@ -56,7 +56,8 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..errors import NetFaultPlanError
+from ..errors import NetFaultPlanError, read_json
+from ..gpusim.faults import parse_plan_document
 
 __all__ = [
     "NET_FAULT_PLAN_SCHEMA",
@@ -354,40 +355,14 @@ class NetFaultPlan:
         :meth:`from_rates` keyword arguments (minus ``partitions``)
         which is materialized and merged with the explicit events.
         """
-        if not isinstance(payload, dict):
-            raise NetFaultPlanError(f"{source}: expected an object at top level")
-        unknown = set(payload) - {"schema", "seed", "events", "partitions", "rates"}
-        if unknown:
-            raise NetFaultPlanError(f"{source}: unknown key(s) {sorted(unknown)}")
-        schema = payload.get("schema", NET_FAULT_PLAN_SCHEMA)
-        if schema != NET_FAULT_PLAN_SCHEMA:
-            raise NetFaultPlanError(
-                f"{source}: unsupported schema {schema!r} "
-                f"(expected {NET_FAULT_PLAN_SCHEMA!r})"
-            )
-        seed = int(payload.get("seed", 0))
-        events = payload.get("events", [])
-        partitions = payload.get("partitions", [])
-        if not isinstance(events, list):
-            raise NetFaultPlanError(f"{source}: 'events' must be a list")
-        if not isinstance(partitions, list):
-            raise NetFaultPlanError(f"{source}: 'partitions' must be a list")
-        for item, what in ((events, "events"), (partitions, "partitions")):
-            if not all(isinstance(e, dict) for e in item):
-                raise NetFaultPlanError(f"{source}: {what} must be objects")
-        merged: List[Union[NetFaultEvent, Dict[str, Any]]] = list(events)
-        rates = payload.get("rates")
+        seed, lists, rates = parse_plan_document(
+            payload, source, NetFaultPlanError, NET_FAULT_PLAN_SCHEMA,
+            ("events", "partitions"),
+            ("conns", "frames", "delay", "stall", "duplicate", "truncate",
+             "cut", "delay_s"),
+        )
+        merged: List[Union[NetFaultEvent, Dict[str, Any]]] = list(lists["events"])
         if rates is not None:
-            if not isinstance(rates, dict):
-                raise NetFaultPlanError(f"{source}: 'rates' must be an object")
-            bad = set(rates) - {
-                "conns", "frames", "delay", "stall", "duplicate",
-                "truncate", "cut", "delay_s",
-            }
-            if bad:
-                raise NetFaultPlanError(
-                    f"{source}: unknown rates key(s) {sorted(bad)}"
-                )
             generated = cls.from_rates(
                 seed,
                 conns=int(rates.get("conns", 4)),
@@ -400,16 +375,10 @@ class NetFaultPlan:
                 delay_s=float(rates.get("delay_s", 0.02)),
             )
             merged.extend(generated.events)
-        return cls(merged, partitions=partitions, seed=seed)
+        return cls(merged, partitions=lists["partitions"], seed=seed)
 
 
 def load_net_fault_plan(path: Union[str, Path]) -> NetFaultPlan:
     """Read and parse a net-fault-plan file (JSON, ``repro-net-fault-plan/1``)."""
-    p = Path(path)
-    try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise NetFaultPlanError(f"cannot read net fault plan {p}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise NetFaultPlanError(f"{p} is not valid JSON: {exc}")
-    return NetFaultPlan.from_dict(payload, source=str(p))
+    payload = read_json(path, NetFaultPlanError, "net fault plan")
+    return NetFaultPlan.from_dict(payload, source=str(path))

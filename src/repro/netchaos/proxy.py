@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import signal
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..log import get_logger
 from ..server import protocol
-from ..server.endpoint import EndpointThread
+from ..server.endpoint import EndpointThread, Listener
 from .plan import (
     KIND_CUT,
     KIND_DELAY,
@@ -67,8 +66,13 @@ class _ProxyConn:
                 writer.close()
 
 
-class ChaosProxy:
+class ChaosProxy(Listener):
     """Deterministic fault-injecting TCP proxy for one upstream.
+
+    Runs on the :class:`~repro.server.endpoint.Listener` lifecycle the
+    server and router share: :meth:`run` serves until SIGTERM/SIGINT,
+    and a drain closes the listener, stops the partition watchdog and
+    aborts every proxied connection.
 
     Parameters
     ----------
@@ -84,6 +88,8 @@ class ChaosProxy:
         frame limit or the proxy would fault traffic the plan did not.
     """
 
+    role = "chaos proxy"
+
     def __init__(
         self,
         upstream: Tuple[str, int],
@@ -92,19 +98,15 @@ class ChaosProxy:
         port: int = 0,
         max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
     ) -> None:
+        super().__init__()
         self.upstream = (str(upstream[0]), int(upstream[1]))
         self.plan = plan if plan is not None else NetFaultPlan()
         self.host = host
         self.listen_port = port
         self.max_frame_bytes = max_frame_bytes
-        self.port: Optional[int] = None  #: bound port, known after start()
         #: injected-fault and traffic tally (``injected.<kind>``, ...)
         self.counters: Dict[str, int] = {}
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._done: Optional[asyncio.Event] = None
         self._t0: float = 0.0
-        self._conns: Set[_ProxyConn] = set()
         self._watchdog: Optional[asyncio.Task] = None
         self._next_conn = 0
 
@@ -114,57 +116,27 @@ class ChaosProxy:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Bind the listener; ``self.port`` is valid afterwards."""
-        self._loop = asyncio.get_running_loop()
-        self._done = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_conn,
-            self.host,
-            self.listen_port,
-            limit=self.max_frame_bytes,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+    def _address(self) -> Tuple[str, int, int]:
+        return self.host, self.listen_port, self.max_frame_bytes
+
+    def _started(self) -> None:
+        assert self._loop is not None
         self._t0 = self._loop.time()
         if self.plan.partitions:
             self._watchdog = self._loop.create_task(self._watch_partitions())
         log.info(
-            "chaos proxy on %s:%d -> %s:%d (%d event(s), %d partition(s))",
-            self.host, self.port, self.upstream[0], self.upstream[1],
+            "relaying to %s:%d (%d event(s), %d partition(s))",
+            self.upstream[0], self.upstream[1],
             len(self.plan), len(self.plan.partitions),
         )
 
-    async def serve_until_stopped(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._done is not None
-        await self._done.wait()
-
-    def run(self, install_signal_handlers: bool = True) -> None:
-        """Blocking entry point used by ``repro chaos-proxy``."""
-
-        async def _main() -> None:
-            await self.start()
-            if install_signal_handlers:
-                loop = asyncio.get_running_loop()
-                for sig in (signal.SIGTERM, signal.SIGINT):
-                    with contextlib.suppress(NotImplementedError):
-                        loop.add_signal_handler(sig, self.stop)
-            await self.serve_until_stopped()
-
-        asyncio.run(_main())
-
-    def stop(self) -> None:
-        """Close the listener and abort every proxied connection."""
-        if self._server is not None:
-            self._server.close()
+    async def _drain_body(self) -> None:
         if self._watchdog is not None:
             self._watchdog.cancel()
-        for conn in list(self._conns):
-            conn.abort()
-        self._conns.clear()
-        if self._done is not None:
-            self._done.set()
+
+    async def _close_conn(self, conn: _ProxyConn) -> None:
+        self._conns.discard(conn)
+        conn.abort()
 
     @property
     def elapsed_s(self) -> float:
@@ -327,12 +299,6 @@ class ChaosProxyThread(EndpointThread):
             upstream, plan, port=0, max_frame_bytes=max_frame_bytes
         )
         super().__init__(self.proxy, "chaos-proxy")
-
-    async def _serve(self) -> None:
-        await self.proxy.serve_until_stopped()
-
-    def _shutdown(self) -> None:
-        self.proxy.stop()
 
     @property
     def counters(self) -> Dict[str, int]:

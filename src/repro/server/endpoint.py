@@ -19,8 +19,13 @@ does not depend on what the endpoint does with a frame:
 
 A subclass supplies its hello and bye frames, its ``stats`` frame, the
 body of its drain, and one handler per frame type it serves.
-:class:`EndpointThread` runs any endpoint on a background thread for
-tests and benchmarks.
+
+:class:`Listener` is the lifecycle under it, shared with the chaos
+proxy (:class:`~repro.netchaos.proxy.ChaosProxy`): bind, serve until
+a drain completes (SIGTERM/SIGINT start one under :meth:`~Listener.run`),
+and a drain that stops accepting, runs the subclass's drain body and
+closes every connection left. :class:`EndpointThread` runs any
+listener on a background thread for tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -29,14 +34,14 @@ import asyncio
 import contextlib
 import signal
 import threading
-from typing import Any, Awaitable, Callable, Dict, Optional, Set
+from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from ..errors import ProtocolError
 from ..log import get_logger
 from . import protocol
 from .stats import ServerStats
 
-__all__ = ["Conn", "WireEndpoint", "EndpointThread"]
+__all__ = ["Conn", "Listener", "WireEndpoint", "EndpointThread"]
 
 log = get_logger("server.endpoint")
 
@@ -68,47 +73,31 @@ class Conn:
         return task
 
 
-class WireEndpoint:
-    """An asyncio TCP listener speaking ``repro-wire/1`` to its clients.
+class Listener:
+    """The lifecycle of one asyncio TCP listener.
 
-    ``config`` needs ``host``, ``port``, ``max_conns``,
-    ``max_frame_bytes``, ``handshake_timeout_s`` and ``drain_timeout_s``.
+    :meth:`start` binds, :meth:`serve_until_drained` waits until a
+    drain completes, and :meth:`begin_drain` stops accepting, awaits
+    :meth:`_drain_body`, then closes every connection left. A subclass
+    supplies the address (:meth:`_address`), the per-connection
+    coroutine ``_handle_conn`` and how one connection is closed
+    (``_close_conn``); it keeps its open connections in ``_conns``.
     """
 
-    #: how the endpoint names itself in error messages
-    role = "endpoint"
+    #: how the listener names itself in logs and error messages
+    role = "listener"
 
-    def __init__(self, config) -> None:
-        self.config = config
-        self.stats = ServerStats()
+    def __init__(self) -> None:
         self.port: Optional[int] = None  #: bound port, known after start()
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._done: Optional[asyncio.Event] = None
         self._draining = False
         self._drain_task: Optional[asyncio.Task] = None
-        self._conns: Set[Conn] = set()
-        self._next_cid = 0
-        #: frame type -> handler; subclasses add theirs
-        self._handlers: Dict[str, Handler] = {
-            "hello": self._on_hello,
-            "shutdown": self._on_shutdown,
-            "stats": self._on_stats,
-        }
+        self._conns: Set[Any] = set()
 
-    # ------------------------------------------------------------------
-    # what a subclass supplies
-    # ------------------------------------------------------------------
-    async def _hello(self) -> Dict[str, Any]:
-        """The hello frame answering a client's hello."""
-        raise NotImplementedError
-
-    def _bye_frame(self) -> Dict[str, Any]:
-        """The reply to a ``shutdown`` frame."""
-        raise NotImplementedError
-
-    def stats_frame(self) -> Dict[str, Any]:
-        """The reply to a ``stats`` frame."""
+    def _address(self) -> Tuple[str, int, int]:
+        """``(host, port, stream line limit)`` to bind; port 0 picks one."""
         raise NotImplementedError
 
     def _started(self) -> None:
@@ -116,35 +105,21 @@ class WireEndpoint:
 
     async def _drain_body(self) -> None:
         """The drain between closing the listener and the connections."""
-        await self._wait_conn_tasks()
 
-    def _conn_opened(self, conn: Conn) -> None:
-        """Called when a connection is admitted (before the handshake)."""
-
-    def _conn_closed(self, conn: Conn) -> None:
-        """Called when a connection ends, before its tasks are cancelled."""
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind the listener; ``self.port`` is valid afterwards."""
         self._loop = asyncio.get_running_loop()
         self._done = asyncio.Event()
+        host, port, limit = self._address()
         self._server = await asyncio.start_server(
-            self._handle_conn,
-            self.config.host,
-            self.config.port,
-            limit=self.config.max_frame_bytes,
+            self._handle_conn, host, port, limit=limit
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        log.info(
-            "%s: repro-wire/1 on %s:%d", self.role, self.config.host, self.port
-        )
+        log.info("%s listening on %s:%d", self.role, host, self.port)
         self._started()
 
     async def serve_until_drained(self) -> None:
-        """Run until a drain (signal or ``shutdown`` frame) completes."""
+        """Run until a drain (signal, ``shutdown`` frame, stop) completes."""
         if self._server is None:
             await self.start()
         assert self._done is not None
@@ -175,15 +150,65 @@ class WireEndpoint:
         self._drain_task = self._loop.create_task(self._drain())
 
     async def _drain(self) -> None:
+        # no wait_closed(): from Python 3.12 it waits for every accepted
+        # connection, and those are closed only below
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         await self._drain_body()
         for conn in list(self._conns):
             await self._close_conn(conn)
         assert self._done is not None
         self._done.set()
         log.info("%s drain: complete", self.role)
+
+
+class WireEndpoint(Listener):
+    """An asyncio TCP listener speaking ``repro-wire/1`` to its clients.
+
+    ``config`` needs ``host``, ``port``, ``max_conns``,
+    ``max_frame_bytes``, ``handshake_timeout_s`` and ``drain_timeout_s``.
+    """
+
+    role = "endpoint"
+
+    def __init__(self, config) -> None:
+        super().__init__()
+        self.config = config
+        self.stats = ServerStats()
+        self._next_cid = 0
+        #: frame type -> handler; subclasses add theirs
+        self._handlers: Dict[str, Handler] = {
+            "hello": self._on_hello,
+            "shutdown": self._on_shutdown,
+            "stats": self._on_stats,
+        }
+
+    # ------------------------------------------------------------------
+    # what a subclass supplies
+    # ------------------------------------------------------------------
+    async def _hello(self) -> Dict[str, Any]:
+        """The hello frame answering a client's hello."""
+        raise NotImplementedError
+
+    def _bye_frame(self) -> Dict[str, Any]:
+        """The reply to a ``shutdown`` frame."""
+        raise NotImplementedError
+
+    def stats_frame(self) -> Dict[str, Any]:
+        """The reply to a ``stats`` frame."""
+        raise NotImplementedError
+
+    async def _drain_body(self) -> None:
+        await self._wait_conn_tasks()
+
+    def _conn_opened(self, conn: Conn) -> None:
+        """Called when a connection is admitted (before the handshake)."""
+
+    def _conn_closed(self, conn: Conn) -> None:
+        """Called when a connection ends, before its tasks are cancelled."""
+
+    def _address(self) -> Tuple[str, int, int]:
+        return self.config.host, self.config.port, self.config.max_frame_bytes
 
     async def _wait_conn_tasks(self) -> None:
         """Let in-flight replies flush, up to the drain timeout."""
@@ -409,14 +434,6 @@ class EndpointThread:
         self._error: Optional[BaseException] = None
         self._thread = threading.Thread(target=self._run, name=name, daemon=True)
 
-    async def _serve(self) -> None:
-        """Run until the endpoint is done."""
-        await self.endpoint.serve_until_drained()
-
-    def _shutdown(self) -> None:
-        """Runs on the loop when :meth:`stop` is called."""
-        self.endpoint.begin_drain()
-
     def _run(self) -> None:
         async def _main() -> None:
             with self._lock:
@@ -424,7 +441,7 @@ class EndpointThread:
             try:
                 await self.endpoint.start()
                 self._ready.set()
-                await self._serve()
+                await self.endpoint.serve_until_drained()
             finally:
                 with self._lock:
                     self._loop = None
@@ -458,5 +475,5 @@ class EndpointThread:
                 self._loop.call_soon_threadsafe(fn)
 
     def stop(self, timeout_s: float = 30.0) -> None:
-        self._call_soon(self._shutdown)
+        self._call_soon(self.endpoint.begin_drain)
         self._thread.join(timeout_s)

@@ -37,14 +37,13 @@ docs/SERVICE.md for the full schema.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
 from ..core.config import (
     FINGERPRINT_VERSION, SolverConfig, config_fingerprint, is_time_budget,
 )
-from ..errors import JobSpecError, SolverConfigError
+from ..errors import JobSpecError, SolverConfigError, read_json
 from ..graph.csr import CSRGraph
 from .request import SolveRequest
 
@@ -204,13 +203,4 @@ def parse_jobs(payload: Union[list, dict], source: str = "<jobs>") -> List[Solve
 
 def load_jobs(path: Union[str, Path]) -> List[SolveRequest]:
     """Read and parse a jobs file; raises ``JobSpecError`` on bad input."""
-    p = Path(path)
-    try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise JobSpecError(f"cannot read jobs file {p}: {exc}")
-    except ValueError as exc:
-        # a JSONDecodeError, bytes that are not UTF-8, or an integer
-        # past the interpreter's digit limit
-        raise JobSpecError(f"{p} is not valid JSON: {exc}")
-    return parse_jobs(payload, source=str(p))
+    return parse_jobs(read_json(path, JobSpecError, "jobs file"), source=str(path))

@@ -2,8 +2,8 @@
 
 The stream layer turns one-shot solving into a stateful graph
 service: a :class:`GraphSession` holds a resident
-:class:`MutableGraph` (base CSR + adjacency deltas, periodic
-compaction) whose edge set mutates in versioned epochs, and an
+:class:`MutableGraph` (one CSR per epoch, each batch spliced into
+the last) whose edge set mutates in versioned epochs, and an
 :class:`IncrementalSolver` keeps ω(G) -- with the exact set of
 maximum cliques behind it -- byte-identical to a from-scratch solve
 of every epoch while absorbing most insert batches with small

@@ -1,16 +1,16 @@
-"""A resident mutable graph: base CSR plus adjacency deltas.
+"""A resident mutable graph: one CSR per epoch, spliced batch by batch.
 
 :class:`MutableGraph` is the storage half of a streaming graph
-session (docs/STREAMING.md). It holds a compacted base
-:class:`~repro.graph.csr.CSRGraph` plus two bounded delta sets --
-edges added since the last compaction and edges removed from the base
--- so a mutation batch costs O(batch). :meth:`materialize` derives the
-epoch's CSR from the base with
-:func:`~repro.graph.build.splice_edges`: it cuts the removed edges'
-keys out of the base's sorted ``edge_keys`` and splices the added
-ones in, so no epoch sorts the whole graph again. Once the deltas
-grow past ``compact_every`` edges, :meth:`materialize` makes its
-result the new base (compaction) and the deltas empty again.
+session (docs/STREAMING.md). It holds the current epoch's
+:class:`~repro.graph.csr.CSRGraph` and, until :meth:`materialize`
+splices it in, the newest mutation batch -- nothing else.
+:meth:`materialize` derives the next epoch's CSR with
+:func:`~repro.graph.build.splice_edges`: it cuts the batch's deleted
+keys out of the current CSR's sorted ``edge_keys`` and splices the
+inserted ones in, so no epoch sorts the whole graph again. A session
+materializes after every batch, so each splice carries one batch's
+net delta; a batch applied while another is pending splices that one
+first.
 
 Epochs are the version counter of the graph: every successful
 :meth:`apply` bumps ``epoch`` by exactly one and returns the
@@ -18,22 +18,25 @@ Epochs are the version counter of the graph: every successful
 that already exists, or deleting one that does not, is a no-op that
 still spends the epoch). :meth:`revert` un-applies a delta, which is
 how a session rolls a failed solve's mutation back so a client retry
-sees clean state.
+sees clean state: a batch that was never spliced is dropped, a spliced
+one is undone by splicing its inverse.
 
 The vertex universe is monotone: an endpoint id seen once keeps its
 slot even after its last edge is deleted (``num_vertices`` never
 shrinks mid-session), so epochs remain comparable. Only
 :meth:`revert` takes it back, to the universe before the reverted
-batch. The canonical materialisation of any epoch is byte-identical
-to ``from_edge_array(edges, num_vertices=self.num_vertices)`` over the
+batch; :func:`~repro.graph.build.splice_edges` keys the removed edges
+in the larger universe before the re-key, where no two edges share a
+key. The canonical materialisation of any epoch is byte-identical to
+``from_edge_array(edges, num_vertices=self.num_vertices)`` over the
 net edge set -- the fingerprint a from-scratch solve of the same
 epoch would see.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Tuple
 
 # Unused here since epochs are spliced, but the benchmark's traced run
 # (perfbench/layers.py) times this module's ``from_edge_array`` and
@@ -50,6 +53,11 @@ Edge = Tuple[int, int]
 def _canon(u: int, v: int) -> Edge:
     """Canonical undirected form ``(min, max)`` of one edge."""
     return (u, v) if u < v else (v, u)
+
+
+def _has(graph: CSRGraph, e: Edge) -> bool:
+    """Whether canonical edge ``e`` is in ``graph`` (ids may lie past it)."""
+    return e[1] < graph.num_vertices and graph.has_edge(*e)
 
 
 def _validate_pairs(pairs: Iterable, what: str) -> List[Edge]:
@@ -92,23 +100,16 @@ class MutationDelta:
         return len(self.inserted) + len(self.deleted)
 
 
-@dataclass
 class MutableGraph:
-    """Base CSR + adjacency deltas with periodic compaction."""
+    """The current epoch's CSR, plus the newest batch until it is spliced."""
 
-    base: CSRGraph
-    #: fold deltas into the base once they reach this many edges
-    compact_every: int = 2048
-    epoch: int = 0
-    compactions: int = field(default=0, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.compact_every < 1:
-            raise ValueError("compact_every must be at least 1")
-        self._added: Set[Edge] = set()
-        self._removed: Set[Edge] = set()
-        self._universe = self.base.num_vertices
-        self._mat: Optional[CSRGraph] = self.base
+    def __init__(self, graph: CSRGraph) -> None:
+        self.epoch = 0
+        #: the CSR of the newest spliced epoch
+        self._graph = graph
+        #: the newest batch while it is not spliced into ``_graph``
+        self._pending: Optional[MutationDelta] = None
+        self._universe = graph.num_vertices
 
     # ------------------------------------------------------------------
     # queries
@@ -120,42 +121,32 @@ class MutableGraph:
 
     @property
     def num_edges(self) -> int:
-        return self.base.num_edges + len(self._added) - len(self._removed)
-
-    @property
-    def delta_size(self) -> int:
-        """Edges currently held outside the base CSR."""
-        return len(self._added) + len(self._removed)
+        batch = self._pending
+        grown = len(batch.inserted) - len(batch.deleted) if batch else 0
+        return self._graph.num_edges + grown
 
     def has_edge(self, u: int, v: int) -> bool:
-        e = _canon(int(u), int(v))
-        if e in self._added:
-            return True
-        if e in self._removed:
-            return False
-        n = self.base.num_vertices
-        return e[0] < n and e[1] < n and self.base.has_edge(e[0], e[1])
+        return _has(self.materialize(), _canon(int(u), int(v)))
 
     def materialize(self) -> CSRGraph:
-        """The canonical CSR of the current epoch (cached; compacts).
+        """The canonical CSR of the current epoch.
 
-        Byte-identical to building a fresh graph from the net edge
-        list over the same vertex universe -- its
+        Splices the pending batch in with
+        :func:`~repro.graph.build.splice_edges`, then returns the same
+        object until the next batch that changes an edge. Byte-identical
+        to building a fresh graph from the net edge list over the same
+        vertex universe -- its
         :meth:`~repro.graph.csr.CSRGraph.fingerprint` is the one a
-        from-scratch solve of this epoch sees. Spliced from the base:
-        ``_removed`` lies inside the base and ``_added`` is disjoint
-        from it.
+        from-scratch solve of this epoch sees. A failed splice changes
+        nothing.
         """
-        if self._mat is None:
-            self._mat = splice_edges(
-                self.base, self._added, self._removed, self._universe
+        batch = self._pending
+        if batch is not None:
+            self._graph = splice_edges(
+                self._graph, batch.inserted, batch.deleted, self._universe
             )
-        if self.delta_size >= self.compact_every:
-            self.base = self._mat
-            self._added.clear()
-            self._removed.clear()
-            self.compactions += 1
-        return self._mat
+            self._pending = None
+        return self._graph
 
     # ------------------------------------------------------------------
     # mutation
@@ -166,7 +157,8 @@ class MutableGraph:
         Returns the net :class:`MutationDelta`. Inserting a present
         edge or deleting an absent one is a silent no-op; an edge named
         in *both* lists is ambiguous and rejected with ``ValueError``
-        (the batch is not applied).
+        (the batch is not applied). A batch still pending from the
+        previous epoch is spliced in first.
         """
         ins = _validate_pairs(inserts, "insert")
         dels = _validate_pairs(deletes, "delete")
@@ -175,46 +167,37 @@ class MutableGraph:
             raise ValueError(
                 f"edge(s) {sorted(both)} appear in both insert and delete"
             )
+        graph = self.materialize()
+        deleted = tuple(sorted(e for e in set(dels) if _has(graph, e)))
+        inserted = tuple(sorted(e for e in set(ins) if not _has(graph, e)))
         prev_universe = self._universe
-        deleted = tuple(sorted(e for e in set(dels) if self.has_edge(*e)))
-        for e in deleted:
-            if e in self._added:
-                self._added.discard(e)
-            else:
-                self._removed.add(e)
-        inserted = tuple(sorted(e for e in set(ins) if not self.has_edge(*e)))
-        for e in inserted:
-            if e in self._removed:
-                self._removed.discard(e)
-            else:
-                self._added.add(e)
-            self._universe = max(self._universe, e[1] + 1)
+        self._universe = max([prev_universe] + [v + 1 for _, v in inserted])
         self.epoch += 1
-        self._mat = None if (inserted or deleted) else self._mat
-        return MutationDelta(
+        delta = MutationDelta(
             epoch=self.epoch,
             inserted=inserted,
             deleted=deleted,
             prev_universe=prev_universe,
         )
+        self._pending = delta if delta.size else None
+        return delta
 
     def revert(self, delta: MutationDelta) -> None:
-        """Un-apply the most recent delta (failed-solve rollback)."""
+        """Un-apply the most recent delta (failed-solve rollback).
+
+        A batch that was never spliced is dropped. A spliced one is
+        undone by splicing its inverse under ``delta.prev_universe``;
+        a failed splice changes nothing.
+        """
         if delta.epoch != self.epoch:
             raise ValueError(
                 f"can only revert the newest epoch {self.epoch}, "
                 f"got delta for epoch {delta.epoch}"
             )
-        for e in delta.inserted:
-            if e in self._added:
-                self._added.discard(e)
-            else:
-                self._removed.add(e)
-        for e in delta.deleted:
-            if e in self._removed:
-                self._removed.discard(e)
-            else:
-                self._added.add(e)
+        if self._pending is None and delta.size:
+            self._graph = splice_edges(
+                self._graph, delta.deleted, delta.inserted, delta.prev_universe
+            )
+        self._pending = None
         self._universe = delta.prev_universe
         self.epoch -= 1
-        self._mat = None

@@ -95,7 +95,6 @@ class GraphSession:
         *,
         dirty_threshold: float = 0.5,
         max_localized: int = 64,
-        compact_every: int = 2048,
         dedup_capacity: int = 256,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
@@ -113,7 +112,7 @@ class GraphSession:
         self.session_id = session_id
         self.config = config
         self.tracer = tracer
-        self.mutable = MutableGraph(graph, compact_every=compact_every)
+        self.mutable = MutableGraph(graph)
         self.solver = IncrementalSolver(
             config,
             solve_batch if solve_batch is not None else local_solve_batch,
@@ -203,8 +202,6 @@ class GraphSession:
             "full_solves": self.solver.full_solves,
             "localized_solves": self.solver.localized_solves,
             "tracking": self.solver.tracking,
-            "compactions": self.mutable.compactions,
-            "delta_size": self.mutable.delta_size,
         }
 
 

@@ -84,9 +84,12 @@ class TestSchema:
 
     def test_rejects_corrupt_file(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+        # bad JSON, bytes that are not UTF-8, an over-long integer,
+        # nesting past the recursion limit
+        for data in (b"{not json", b"\xff\xfe", b"9" * 5000, b"[" * 100_000):
+            path.write_bytes(data)
+            with pytest.raises(CheckpointError, match="not valid JSON"):
+                load_checkpoint(path)
 
     def test_validate_for(self):
         ckpt = SearchCheckpoint(graph_fingerprint="aaa", config_fingerprint="bbb")

@@ -114,6 +114,32 @@ def test_load_rejects_unknown_keys(tmp_path):
         load_fault_plan(path)
 
 
+def test_load_rejects_malformed_files(tmp_path):
+    path = tmp_path / "plan.json"
+    # bad JSON, bytes that are not UTF-8, an over-long integer
+    for data in (b"{nope", b"\xff\xfe", b"9" * 5000):
+        path.write_bytes(data)
+        with pytest.raises(FaultPlanError, match="not valid JSON"):
+            load_fault_plan(path)
+    with pytest.raises(FaultPlanError, match="cannot read"):
+        load_fault_plan(tmp_path / "absent.json")
+
+
+def test_load_rejects_malformed_fields(tmp_path):
+    path = tmp_path / "plan.json"
+    for doc, match in (
+        ({"seed": None}, "'seed' must be"),
+        ({"seed": 1.5}, "'seed' must be"),
+        ({"seed": 0, "events": ["ab"]}, "events must be objects"),
+        ({"seed": 0, "events": [[["device", 0]]]}, "events must be objects"),
+        ({"seed": 0, "rates": {"devices": "x"}}, "rates 'devices'"),
+        ({"seed": 0, "rates": {"horizon": float("inf")}}, "rates 'horizon'"),
+    ):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FaultPlanError, match=match):
+            load_fault_plan(path)
+
+
 def test_rates_key_materializes(tmp_path):
     path = tmp_path / "plan.json"
     path.write_text(

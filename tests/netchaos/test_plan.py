@@ -166,9 +166,24 @@ class TestSerialization:
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{nope")
-        with pytest.raises(NetFaultPlanError, match="not valid JSON"):
-            load_net_fault_plan(path)
+        # bad JSON, bytes that are not UTF-8, an over-long integer
+        for data in (b"{nope", b"\xff\xfe", b"9" * 5000):
+            path.write_bytes(data)
+            with pytest.raises(NetFaultPlanError, match="not valid JSON"):
+                load_net_fault_plan(path)
+
+    def test_malformed_fields_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        for doc, match in (
+            ({"seed": None}, "'seed' must be"),
+            ({"seed": "7"}, "'seed' must be"),
+            ({"seed": 0, "events": ["ab"]}, "events must be objects"),
+            ({"seed": 0, "rates": {"conns": "x"}}, "rates 'conns'"),
+            ({"seed": 0, "rates": {"frames": None}}, "rates 'frames'"),
+        ):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(NetFaultPlanError, match=match):
+                load_net_fault_plan(path)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(NetFaultPlanError, match="cannot read"):

@@ -85,6 +85,18 @@ class TestBatch:
         assert main(["batch", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().out
 
+    def test_bad_fault_plan_exits_2(self, jobs_file, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        for data in (
+            b'{"seed": null}',
+            b'{"seed": 0, "events": ["ab"]}',
+            b'{"seed": 0, "rates": {"devices": "x"}}',
+            b"\xff\xfe",
+        ):
+            path.write_bytes(data)
+            assert main(["batch", jobs_file, "--fault-plan", str(path)]) == 2
+            assert capsys.readouterr().out.startswith(f"error: {path}")
+
     @pytest.mark.parametrize("timeout", ["0", "-1", "inf"])
     def test_bad_timeout_is_a_usage_error(self, jobs_file, timeout, capsys):
         with pytest.raises(SystemExit) as exc_info:

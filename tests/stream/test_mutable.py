@@ -1,4 +1,4 @@
-"""Unit tests for the resident mutable graph (base CSR + deltas)."""
+"""Unit tests for the resident mutable graph (one CSR per epoch)."""
 
 import numpy as np
 import pytest
@@ -111,16 +111,6 @@ class TestMaterialize:
         mg.apply(inserts=[(1, 3)])
         assert mg.materialize() is not first
 
-    def test_compaction_folds_deltas_into_base(self):
-        mg = MutableGraph(fresh(TRIANGLE), compact_every=2)
-        mg.apply(inserts=[(1, 3), (2, 3)])
-        fp = materialized_fingerprint(mg)
-        assert mg.compactions == 1
-        assert mg.delta_size == 0
-        assert mg.base.num_edges == 5
-        # compaction is invisible to the canonical view
-        assert materialized_fingerprint(mg) == fp
-
 
 class TestRevert:
     def test_revert_restores_graph_epoch_and_universe(self):
@@ -147,13 +137,12 @@ class TestRevert:
         assert mg.num_edges == 3
 
     def test_revert_past_a_compaction_keeps_every_edge(self):
-        # the compaction leaves a 6-vertex base; the revert takes the
+        # the splice leaves a 6-vertex graph; the revert takes the
         # universe back to 3, where (0, 5) and (1, 2) share key 5
-        mg = MutableGraph(fresh(TRIANGLE), compact_every=1)
+        mg = MutableGraph(fresh(TRIANGLE))
         before = materialized_fingerprint(mg)
         delta = mg.apply(inserts=[(0, 5)])
-        mg.materialize()
-        assert mg.base.num_vertices == 6
+        assert mg.materialize().num_vertices == 6
         mg.revert(delta)
         graph = mg.materialize()
         assert graph.num_edges == 3 and graph.has_edge(1, 2)
@@ -173,7 +162,7 @@ def assert_matches_oracle(graph, edges, num_vertices):
 
 @st.composite
 def edit_scripts(draw):
-    """A base graph, ``compact_every`` and steps of applies and reverts.
+    """A base graph and steps of applies and reverts.
 
     Ids reach past the base's universe, batches may be no-ops, a step
     applies one to three batches before the next materialize, and a
@@ -191,16 +180,15 @@ def edit_scripts(draw):
     batch = st.tuples(st.lists(pair, max_size=4), st.lists(pair, max_size=4))
     step = st.tuples(st.lists(batch, min_size=1, max_size=3), st.integers(0, 2))
     steps = draw(st.lists(step, min_size=1, max_size=6))
-    compact_every = draw(st.integers(1, 5))
-    return n, base, steps, compact_every
+    return n, base, steps
 
 
 @given(script=edit_scripts())
 @settings(max_examples=200, deadline=None)
 def test_every_epoch_matches_an_independent_rebuild(script):
-    n, base, steps, compact_every = script
+    n, base, steps = script
     edges = {tuple(sorted(e)) for e in base}
-    mg = MutableGraph(fresh(sorted(edges), n), compact_every=compact_every)
+    mg = MutableGraph(fresh(sorted(edges), n))
     assert_matches_oracle(mg.materialize(), edges, n)
     undo = []  # (delta, edges before it, universe before it)
     for batches, reverts in steps:
@@ -220,8 +208,3 @@ def test_every_epoch_matches_an_independent_rebuild(script):
 def test_delta_size_property():
     delta = MutationDelta(epoch=1, inserted=((0, 1),), deleted=((1, 2), (2, 3)))
     assert delta.size == 3
-
-
-def test_compact_every_validated():
-    with pytest.raises(ValueError):
-        MutableGraph(fresh(TRIANGLE), compact_every=0)

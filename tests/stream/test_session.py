@@ -1,5 +1,6 @@
 """Unit tests for GraphSession / SessionManager semantics."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import SolverConfig
@@ -101,10 +102,10 @@ class TestGraphSession:
                 raise RuntimeError("backend exploded")
             return local_solve_batch(jobs)
 
-        session = make_session(solve_batch=flaky, compact_every=1)
+        session = make_session(solve_batch=flaky)
         epoch0 = session.view.fingerprint
-        # the batch compacts into a 7-vertex base before the solve fails;
-        # back in the 4-vertex universe (0, 6) and (1, 2) share a key
+        # the batch is spliced into a 7-vertex graph before the solve
+        # fails; back in the 4-vertex universe (0, 6) and (1, 2) share a key
         with pytest.raises(RuntimeError, match="backend exploded"):
             session.apply(inserts=[(0, 6), (1, 6)])
         graph = session.mutable.materialize()
@@ -143,6 +144,38 @@ class TestGraphSession:
         monkeypatch.undo()
         rebuilt = from_edge_list(sorted(edges), num_vertices=n + 10)
         assert view.fingerprint == rebuilt.fingerprint()
+
+    def test_each_splice_carries_one_batch(self, monkeypatch):
+        """Every epoch splices its own batch's net delta, never the
+        edges of earlier batches again."""
+        splices, deltas = [], []
+        real_splice = mutable.splice_edges
+
+        def splice(graph, inserted, deleted, num_vertices):
+            splices.append(len(inserted) + len(deleted))
+            return real_splice(graph, inserted, deleted, num_vertices)
+
+        monkeypatch.setattr(mutable, "splice_edges", splice)
+        session = GraphSession("s", gen.caveman_social(4, 8, p_in=0.5, seed=3))
+        real_apply = session.mutable.apply
+
+        def apply(inserts, deletes):
+            deltas.append(real_apply(inserts, deletes))
+            return deltas[-1]
+
+        monkeypatch.setattr(session.mutable, "apply", apply)
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            src, dst = session.mutable.materialize().to_edge_list()
+            gone = rng.choice(src.size, size=2, replace=False)
+            deletes = {(int(src[i]), int(dst[i])) for i in gone}
+            # new ids up to 39 grow the universe
+            inserts = {tuple(sorted(map(int, rng.choice(40, 2, replace=False))))
+                       for _ in range(3)} - deletes
+            before = len(splices)
+            session.apply(inserts, deletes)
+            delta = deltas[-1]
+            assert delta.size and splices[before:] == [delta.size]
 
     def test_bad_mutation_is_a_session_error(self):
         session = make_session()
