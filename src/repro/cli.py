@@ -28,7 +28,9 @@ format).
 ``solve`` and ``client solve`` share one flag group
 (:func:`_add_solve_args`, read by :func:`_config_fields`). How each
 problem kind's answer prints -- in ``solve``, ``batch`` and ``client
-solve``, as text or ``--json`` -- is one entry of :data:`_ANSWERS`.
+solve``, as text or ``--json`` -- is its result class's
+:class:`~repro.core.result.Answer`, read from
+:data:`~repro.core.result.ANSWERS`.
 A wire or server error of any ``client`` verb, ``watch`` or
 ``cluster-status`` is printed in one place, :func:`main`, which exits
 with the status the error carries. Every ``--json`` output goes
@@ -40,11 +42,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from .core.config import PROBLEM_KINDS, SolverConfig, is_time_budget
+from .core.result import ANSWERS, Answer
 from .core.solver import MaxCliqueSolver
 from .errors import (
     CheckpointError,
@@ -71,75 +73,8 @@ MIB = 1 << 20
 out = get_logger("cli")
 
 
-@dataclass(frozen=True)
-class _Answer:
-    """How one problem kind's answer prints."""
-
-    #: ``(result attribute, wire-record field)`` pairs: the attributes
-    #: ``solve --json`` lists, in order, and the record field ``client
-    #: solve --json`` reads for each (None: the client leaves it out;
-    #: ``cliques`` is the reply's clique rows)
-    fields: Tuple[Tuple[str, Optional[str]], ...]
-    #: ``batch`` figures of an ok job, formatted over its record
-    batch: str
-    #: ``client solve`` headline, formatted over the wire record
-    headline: str
-    #: noun of the clique rows (``maximum``, ``maximal``); None: no rows
-    rows: Optional[str] = None
-    #: the attribute and record field counting every row
-    total: Optional[str] = None
-    #: whether that count is exact even when not every row was enumerated
-    total_exact: bool = False
-
-
-#: every problem kind's answer, keyed by :data:`PROBLEM_KINDS` name
-_ANSWERS = {
-    "max-clique": _Answer(
-        fields=(
-            ("problem", None),
-            ("clique_number", "clique_number"),
-            ("num_maximum_cliques", "num_maximum_cliques"),
-            ("cliques", "cliques"),
-            ("found_by", None),
-            ("enumerated_all", "enumerated_all"),
-            ("heuristic", None),
-            ("pruned_fraction", None),
-        ),
-        batch="omega={clique_number} x{num_maximum_cliques}",
-        headline="omega = {clique_number}, {num_maximum_cliques} maximum clique(s)",
-        rows="maximum",
-        total="num_maximum_cliques",
-    ),
-    "k-clique-count": _Answer(
-        fields=(
-            ("problem", "problem"),
-            ("k", "k"),
-            ("count", "k_clique_count"),
-            ("found_by", None),
-        ),
-        batch="count[k={k}]={k_clique_count}",
-        headline="{k_clique_count} {k}-clique(s)",
-    ),
-    "maximal-enum": _Answer(
-        fields=(
-            ("problem", "problem"),
-            ("num_maximal_cliques", "num_maximal_cliques"),
-            ("max_clique_size", "clique_number"),
-            ("cliques", "cliques"),
-            ("found_by", None),
-            ("enumerated_all", "enumerated_all"),
-        ),
-        batch="maximal={num_maximal_cliques} omega={clique_number}",
-        headline="{num_maximal_cliques} maximal clique(s), omega = {clique_number}",
-        rows="maximal",
-        total="num_maximal_cliques",
-        total_exact=True,
-    ),
-}
-
-
 def _print_rows(
-    answer: _Answer, rows, total: Optional[int], enumerated_all: bool
+    answer: Answer, rows, total: Optional[int], enumerated_all: bool
 ) -> None:
     """Print clique rows, then how many more the exact count holds."""
     for row in rows:
@@ -452,7 +387,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         out.info(f"timeout: {exc}")
         _export_trace(tracer, args)
         return 3
-    answer = _ANSWERS[config.problem]
+    answer = ANSWERS[config.problem]
     rows = result.cliques[: args.max_report] if answer.rows else []
     if args.json:
         payload = {}
@@ -545,7 +480,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     else:
         for r, job in zip(records, payload["jobs"]):
             if r.ok:
-                figures = _ANSWERS[r.problem].batch.format(**job)
+                figures = ANSWERS[r.problem].batch.format(**job)
             else:
                 figures = r.error or ""
             tags = "".join(
@@ -779,7 +714,7 @@ def _cmd_client_solve(args: argparse.Namespace) -> int:
         )
     record = reply["record"]
     exit_code = int(reply.get("exit_code", 0))
-    answer = _ANSWERS[record.get("problem", "max-clique")]
+    answer = ANSWERS[record.get("problem", "max-clique")]
     rows = reply.get("cliques", [])[: args.max_report]
     if args.json:
         payload = {

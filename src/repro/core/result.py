@@ -1,9 +1,10 @@
-"""Result and statistics types returned by the solver."""
+"""Result and statistics types returned by the solver; each result
+class carries its problem kind's :class:`Answer`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Tuple, Union
+from typing import ClassVar, Dict, List, Optional, Tuple, Union, get_args
 
 import numpy as np
 
@@ -18,6 +19,8 @@ __all__ = [
     "KCliqueCountResult",
     "MaximalEnumResult",
     "SolveResult",
+    "Answer",
+    "ANSWERS",
 ]
 
 
@@ -86,6 +89,28 @@ class WindowStats:
     levels: int
 
 
+@dataclass(frozen=True)
+class Answer:
+    """What one problem kind's answer is, and how it prints."""
+
+    #: ``(result attribute, record field)`` pairs: the attributes
+    #: ``solve --json`` lists, in order, and the
+    #: :class:`~repro.service.request.JobRecord` field each fills, which
+    #: ``client solve --json`` reads back (None: no record field;
+    #: ``cliques`` is the wire reply's clique rows)
+    fields: Tuple[Tuple[str, Optional[str]], ...]
+    #: ``batch`` figures of an ok job, formatted over its record
+    batch: str
+    #: ``client solve`` headline, formatted over the wire record
+    headline: str
+    #: noun of the clique rows (``maximum``, ``maximal``); None: no rows
+    rows: Optional[str] = None
+    #: the attribute and record field counting every row
+    total: Optional[str] = None
+    #: whether that count is exact even when not every row was enumerated
+    total_exact: bool = False
+
+
 @dataclass
 class MaxCliqueResult:
     """Everything a solve produces.
@@ -133,6 +158,22 @@ class MaxCliqueResult:
 
     #: problem kind tag shared by every :data:`SolveResult` variant
     problem: ClassVar[str] = "max-clique"
+    answer: ClassVar[Answer] = Answer(
+        fields=(
+            ("problem", None),
+            ("clique_number", "clique_number"),
+            ("num_maximum_cliques", "num_maximum_cliques"),
+            ("cliques", "cliques"),
+            ("found_by", None),
+            ("enumerated_all", "enumerated_all"),
+            ("heuristic", None),
+            ("pruned_fraction", None),
+        ),
+        batch="omega={clique_number} x{num_maximum_cliques}",
+        headline="omega = {clique_number}, {num_maximum_cliques} maximum clique(s)",
+        rows="maximum",
+        total="num_maximum_cliques",
+    )
 
     clique_number: int
     num_maximum_cliques: int
@@ -195,6 +236,18 @@ class KCliqueCountResult:
     """
 
     problem: ClassVar[str] = "k-clique-count"
+    answer: ClassVar[Answer] = Answer(
+        fields=(
+            ("problem", "problem"),
+            ("k", "k"),
+            ("count", "k_clique_count"),
+            ("found_by", None),
+        ),
+        batch="count[k={k}]={k_clique_count}",
+        headline="{k_clique_count} {k}-clique(s)",
+    )
+    #: a count covers every k-clique; it stores no rows to cap
+    enumerated_all: ClassVar[bool] = True
 
     k: int
     count: int
@@ -246,6 +299,21 @@ class MaximalEnumResult:
     """
 
     problem: ClassVar[str] = "maximal-enum"
+    answer: ClassVar[Answer] = Answer(
+        fields=(
+            ("problem", "problem"),
+            ("num_maximal_cliques", "num_maximal_cliques"),
+            ("max_clique_size", "clique_number"),
+            ("cliques", "cliques"),
+            ("found_by", None),
+            ("enumerated_all", "enumerated_all"),
+        ),
+        batch="maximal={num_maximal_cliques} omega={clique_number}",
+        headline="{num_maximal_cliques} maximal clique(s), omega = {clique_number}",
+        rows="maximal",
+        total="num_maximal_cliques",
+        total_exact=True,
+    )
 
     num_maximal_cliques: int
     max_clique_size: int
@@ -276,3 +344,8 @@ class MaximalEnumResult:
 
 #: Any solve result, tagged by its class-level ``problem`` attribute.
 SolveResult = Union[MaxCliqueResult, KCliqueCountResult, MaximalEnumResult]
+
+#: every problem kind's answer, keyed by its ``problem`` name
+ANSWERS: Dict[str, Answer] = {
+    cls.problem: cls.answer for cls in get_args(SolveResult)
+}

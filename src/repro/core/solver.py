@@ -144,28 +144,19 @@ class MaxCliqueSolver:
     def _trivial_result(self, ctx: "ExecutionContext"):
         """Handle cases solved without a pipeline run.
 
-        Empty and edgeless graphs for every kind, plus the k <= 2
-        closed forms of k-clique counting (k=1 counts vertices, k=2
-        counts edges -- the level loop's root is already level 2).
+        A kind's closed forms (``ProblemKind.closed_form``), and empty
+        and edgeless graphs for max-clique.
         """
-        from ..pipeline.stages import (
-            build_kclique_result,
-            build_maximal_result,
-            build_result,
-        )
+        from ..engine.problems import resolve_kind
+        from ..pipeline.stages import _telemetry, build_result
 
         graph, config = self.graph, self.config
-        if config.problem == "k-clique-count" and config.k <= 2:
-            count = graph.num_vertices if config.k == 1 else graph.num_edges
-            return build_kclique_result(ctx, count=count, found_by="trivial")
+        kind = resolve_kind(config)
+        state = kind.closed_form(graph)
+        if state is not None:
+            return kind.result(graph, config, state, "trivial", **_telemetry(ctx))
         if graph.num_edges > 0:
             return None
-        if config.problem == "k-clique-count":
-            return build_kclique_result(ctx, count=0, found_by="trivial")
-        if config.problem == "maximal-enum":
-            # every vertex (if any) is an isolated singleton; the
-            # builder collects them from the degree array
-            return build_maximal_result(ctx, harvested=[], found_by="trivial")
         # every vertex (if any) is a maximum clique of size 1
         n = graph.num_vertices
         omega = min(n, 1)

@@ -1,25 +1,23 @@
 """Result verification utilities.
 
 Maximum clique is NP-hard, but *checking* a claimed answer is cheap.
-These helpers validate solver output against the input graph --
-useful in tests, in examples, and for downstream users who want a
-certificate with their answer:
-
-* every reported clique is a real clique of the claimed size;
-* the claimed ω is consistent (no reported clique is larger, each is
-  maximal -- no vertex extends it);
-* an optional cross-check against an independent exact solver for
-  small graphs.
+:func:`verify_result` validates a result of any problem kind against
+the input graph -- useful in tests, in examples, and for downstream
+users who want a certificate with their answer. It dispatches on the
+result's ``problem``; ``cross_check`` (small graphs only) adds an
+independent oracle: Bron-Kerbosch for the clique kinds,
+:func:`~repro.baselines.kclique.count_k_cliques_reference` for
+k-clique counting.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from .result import MaxCliqueResult
+from .result import SolveResult
 
 __all__ = ["is_clique", "is_maximal_clique", "verify_result", "VerificationError"]
 
@@ -59,24 +57,28 @@ def is_maximal_clique(graph: CSRGraph, vertices: Iterable[int]) -> bool:
 
 def verify_result(
     graph: CSRGraph,
-    result: MaxCliqueResult,
+    result: SolveResult,
     cross_check: bool = False,
     cross_check_limit: int = 60,
 ) -> None:
-    """Validate a solver result; raises :class:`VerificationError`.
+    """Validate a solver result by its kind's verifier below; raises
+    :class:`VerificationError`. ``cross_check`` refuses graphs above
+    ``cross_check_limit`` vertices."""
+    check = _CHECKS.get(getattr(result, "problem", None))
+    if check is None:
+        raise VerificationError(f"no verifier for {type(result).__name__}")
+    if cross_check and graph.num_vertices > cross_check_limit:
+        raise VerificationError(
+            f"cross_check limited to {cross_check_limit} vertices"
+        )
+    check(graph, result, cross_check)
 
-    Checks performed:
 
-    1. every materialised clique has exactly ``clique_number``
-       distinct, pairwise-adjacent vertices;
-    2. every materialised clique is *maximal* (a maximum clique cannot
-       be extendable);
-    3. rows are distinct vertex sets;
-    4. the heuristic bound does not exceed ω;
-    5. with ``cross_check`` (small graphs only), ω and -- when
-       enumeration was requested -- the full clique set match an
-       independent Bron-Kerbosch run.
-    """
+def _verify_max_clique(graph: CSRGraph, result, cross_check: bool) -> None:
+    """Max-clique: the rows are distinct, real, maximal cliques of size
+    ω; the heuristic bound is at most ω; with ``cross_check``, ω and
+    (when every maximum clique was enumerated) their count match
+    Bron-Kerbosch."""
     omega = result.clique_number
     if graph.num_vertices == 0:
         if omega != 0:
@@ -111,10 +113,6 @@ def verify_result(
         )
 
     if cross_check:
-        if graph.num_vertices > cross_check_limit:
-            raise VerificationError(
-                f"cross_check limited to {cross_check_limit} vertices"
-            )
         from ..baselines.bron_kerbosch import maximum_cliques_via_bk
 
         ref_omega, ref_cliques = maximum_cliques_via_bk(graph)
@@ -122,9 +120,76 @@ def verify_result(
             raise VerificationError(
                 f"omega {omega} disagrees with Bron-Kerbosch {ref_omega}"
             )
-        if result.enumerated_all:
-            if result.num_maximum_cliques != len(ref_cliques):
-                raise VerificationError(
-                    f"enumerated {result.num_maximum_cliques} maximum cliques, "
-                    f"Bron-Kerbosch finds {len(ref_cliques)}"
-                )
+        if result.enumerated_all and result.num_maximum_cliques != len(ref_cliques):
+            raise VerificationError(
+                f"enumerated {result.num_maximum_cliques} maximum cliques, "
+                f"Bron-Kerbosch finds {len(ref_cliques)}"
+            )
+
+
+def _verify_k_clique_count(graph: CSRGraph, result, cross_check: bool) -> None:
+    """K-clique counting: the count is not negative, k = 1 and k = 2
+    count vertices and edges; with ``cross_check`` it equals the
+    reference counter's."""
+    k, count = result.k, result.count
+    if count < 0:
+        raise VerificationError(f"negative {k}-clique count {count}")
+    closed = {1: graph.num_vertices, 2: graph.num_edges}.get(k)
+    if closed is not None and count != closed:
+        raise VerificationError(f"{count} {k}-cliques, the graph has {closed}")
+    if cross_check:
+        from ..baselines.kclique import count_k_cliques_reference
+
+        ref = count_k_cliques_reference(graph, k)
+        if count != ref:
+            raise VerificationError(
+                f"{count} {k}-cliques, the reference counter finds {ref}"
+            )
+
+
+def _verify_maximal_enum(graph: CSRGraph, result, cross_check: bool) -> None:
+    """Maximal enumeration: the rows are distinct, sorted maximal
+    cliques in canonical (size, lexicographic) order, and
+    ``enumerated_all`` holds exactly when every row is present; then
+    they cover every vertex and the largest is ``max_clique_size``.
+    With ``cross_check`` the rows, count and ω match Bron-Kerbosch."""
+    rows = [tuple(int(v) for v in row) for row in result.cliques]
+    total = result.num_maximal_cliques
+    if [(len(r), r) for r in rows] != sorted({(len(r), r) for r in rows}):
+        raise VerificationError("rows repeat or are out of canonical order")
+    for row in rows:
+        if list(row) != sorted(row) or not is_maximal_clique(graph, row):
+            raise VerificationError(f"{row} is not a sorted maximal clique")
+    if result.enumerated_all != (len(rows) == total):
+        raise VerificationError(
+            f"{len(rows)} of {total} rows reported, "
+            f"enumerated_all={result.enumerated_all}"
+        )
+    if result.enumerated_all:
+        covered = {v for row in rows for v in row}
+        largest = max(map(len, rows), default=0)
+        if (len(covered), largest) != (graph.num_vertices, result.max_clique_size):
+            raise VerificationError(
+                f"rows cover {len(covered)} of {graph.num_vertices} vertices, the "
+                f"largest has {largest}; max_clique_size {result.max_clique_size}"
+            )
+    if cross_check:
+        from ..baselines.bron_kerbosch import maximal_clique_set
+
+        ref = maximal_clique_set(graph)
+        ref_omega = len(ref[-1]) if ref else 0
+        if (total, result.max_clique_size) != (len(ref), ref_omega) or (
+            rows != ref[: len(rows)]
+        ):
+            raise VerificationError(
+                f"{total} maximal cliques (largest {result.max_clique_size}) "
+                f"disagree with Bron-Kerbosch's {len(ref)} (largest {ref_omega})"
+            )
+
+
+#: the verifier of each problem kind, keyed by its ``problem`` name
+_CHECKS = {
+    "max-clique": _verify_max_clique,
+    "k-clique-count": _verify_k_clique_count,
+    "maximal-enum": _verify_maximal_enum,
+}

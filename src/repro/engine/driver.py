@@ -206,7 +206,7 @@ class LevelDriver:
         # kinds that must visit every clique (0 disables the prune and
         # the early exit below)
         bar = kind.effective_bar(omega_bar)
-        early_exit = early_exit_heuristic and kind.allows_early_exit
+        early_exit = early_exit_heuristic and kind.prunes
 
         while True:
             self.deadline.check(f"level {clique_list.depth}")

@@ -11,10 +11,11 @@ them so :class:`~repro.engine.driver.LevelDriver` and
 * the **count/output kernel bodies** (``count`` / ``output``; all
   kinds currently share the paper's passes, but a kind may override
   them);
-* **ω̄-pruning applicability** (``effective_bar``): max-clique prunes
-  sublists that cannot reach the bound; the counting and enumeration
-  kinds must visit every clique, so their bar is 0 (the driver's
-  pruning block is a no-op at bar 0);
+* **ω̄ pruning** (``prunes``, the one flag): max-clique prunes
+  sublists that cannot reach the bound, may exit early and
+  checkpoints its windows; the counting and enumeration kinds must
+  visit every clique, so their bar is 0 (the driver's pruning block is
+  a no-op at bar 0);
 * the **level-termination rule**: ``stop_level`` stops k-clique
   counting at level ``k``; the other kinds run until no new cliques
   are generated;
@@ -22,9 +23,11 @@ them so :class:`~repro.engine.driver.LevelDriver` and
   maximal-enum collects zero-extension entries (after a maximality
   check against the full graph), k-clique counting reads the size of
   the stopping level;
-* the **result shape**, via the :class:`KindState` accumulator the
-  driver threads through the search and the sweep merges across
-  windows.
+* the **answer**: a kind that does not prune turns its
+  :class:`KindState` accumulator (threaded through the search by the
+  driver, merged across windows by the sweep) into its result
+  (``result``), and answers some graphs with no search at all
+  (``closed_form``). The search stages assemble max-clique's result.
 
 ``MAX_CLIQUE`` is the default kind and is behaviour-identical to the
 pre-kind driver: identity bar, no stop level, no harvest, the same
@@ -38,7 +41,7 @@ clique may still be contained in a larger clique through a
 lower-ranked vertex, so each zero-extension entry is verified against
 the full adjacency (a clique is maximal iff no vertex is adjacent to
 all of its members). Singleton maximal cliques (isolated vertices)
-never enter the 2-clique list and are added by the pipeline stage.
+never enter the 2-clique list and are added by ``result``.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from ..core.config import PROBLEM_KINDS
+from ..core.result import KCliqueCountResult, MaximalEnumResult
 from .passes import count_pass, output_pass
 
 __all__ = [
@@ -86,12 +90,10 @@ class ProblemKind:
 
     #: stable identifier; must be a member of ``PROBLEM_KINDS``
     name = "max-clique"
-    #: whether the ω̄ bound may zero sub-bound sublists
+    #: whether the ω̄ bound applies: pruning sub-bound sublists, the
+    #: sound early exit (Algorithm 2 line 36), and window checkpoints
+    #: (a windows-done checkpoint describes no accumulated state)
     prunes = True
-    #: whether the sound early-exit (Algorithm 2 line 36) may fire
-    allows_early_exit = True
-    #: whether windowed checkpoints describe this kind's state
-    supports_checkpoint = True
     #: stop expanding once the head node reaches this level
     stop_level: Optional[int] = None
 
@@ -119,9 +121,13 @@ class ProblemKind:
         """Fresh accumulator for one search (None: nothing to collect)."""
         return None
 
+    def closed_form(self, graph) -> Optional[KindState]:
+        """The accumulator of a graph answered with no search, or None."""
+        return None
+
     def effective_bar(self, omega_bar: int) -> int:
         """The pruning bound the driver applies (0 disables pruning)."""
-        return omega_bar
+        return omega_bar if self.prunes else 0
 
     def on_level(self, graph, device, clique_list, counts, state) -> None:
         """Harvest hook, called after the count pass of every level.
@@ -148,8 +154,6 @@ class KCliqueCountKind(ProblemKind):
 
     name = "k-clique-count"
     prunes = False
-    allows_early_exit = False
-    supports_checkpoint = False
 
     def __init__(self, k: int) -> None:
         if k < 1:
@@ -159,8 +163,20 @@ class KCliqueCountKind(ProblemKind):
     def new_state(self) -> KindState:
         return KindState()
 
-    def effective_bar(self, omega_bar: int) -> int:
-        return 0
+    def closed_form(self, graph) -> Optional[KindState]:
+        """k = 1 counts vertices and k = 2 edges (the level loop's root
+        is already level 2); an edgeless graph has no larger clique."""
+        if self.stop_level <= 2:
+            n, m = graph.num_vertices, graph.num_edges
+            return KindState(count=n if self.stop_level == 1 else m)
+        return KindState() if graph.num_edges == 0 else None
+
+    def result(self, graph, config, state, found_by, **telemetry):
+        """The :class:`KCliqueCountResult` of a finished count."""
+        return KCliqueCountResult(
+            k=self.stop_level, count=int(state.count), found_by=found_by,
+            **telemetry,
+        )
 
     def harvest_stop(self, clique_list, state) -> None:
         state.count += clique_list.head.size
@@ -179,14 +195,31 @@ class MaximalEnumKind(ProblemKind):
 
     name = "maximal-enum"
     prunes = False
-    allows_early_exit = False
-    supports_checkpoint = False
 
     def new_state(self) -> KindState:
         return KindState()
 
-    def effective_bar(self, omega_bar: int) -> int:
-        return 0
+    def closed_form(self, graph) -> Optional[KindState]:
+        """An edgeless graph's maximal cliques are its vertices, which
+        :meth:`result` adds as singletons."""
+        return KindState() if graph.num_edges == 0 else None
+
+    def result(self, graph, config, state, found_by, **telemetry):
+        """The :class:`MaximalEnumResult`: the harvested cliques plus
+        every isolated vertex as a singleton, in canonical (size,
+        lexicographic) order, capped at ``max_cliques_report`` (the
+        count stays exact)."""
+        singles = [(int(v),) for v in np.flatnonzero(graph.degrees == 0)]
+        ordered = sorted(singles + list(state.cliques), key=lambda c: (len(c), c))
+        cap = config.max_cliques_report
+        return MaximalEnumResult(
+            num_maximal_cliques=len(ordered),
+            max_clique_size=len(ordered[-1]) if ordered else 0,
+            cliques=ordered[:cap],
+            enumerated_all=len(ordered) <= cap,
+            found_by=found_by,
+            **telemetry,
+        )
 
     def on_level(self, graph, device, clique_list, counts, state) -> None:
         zero = np.flatnonzero(counts == 0)

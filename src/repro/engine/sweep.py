@@ -229,7 +229,7 @@ def window_sweep(
         raise ValueError(
             "adaptive splitting and checkpoint/resume require fanout == 1"
         )
-    if not kind.supports_checkpoint and (
+    if not kind.prunes and (
         checkpoint is not None or checkpoint_sink is not None
     ):
         # a windows-done checkpoint does not describe the kind's
@@ -334,7 +334,7 @@ def _sequential_sweep(
             continue
         except DeviceLostError as exc:
             w_index -= 1  # the interrupted window was not completed
-            if kind.supports_checkpoint:
+            if kind.prunes:
                 exc.checkpoint = snapshot(interrupted=(a, b))
             raise
         try:

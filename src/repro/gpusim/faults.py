@@ -55,6 +55,7 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "FaultInjector",
+    "MAX_PLAN_DRAWS",
     "load_fault_plan",
     "parse_plan_document",
 ]
@@ -71,6 +72,11 @@ FAULT_KINDS = (KIND_TRANSIENT_KERNEL, KIND_FLAKY_ALLOC, KIND_DEVICE_LOST)
 
 HOOK_LAUNCH = "launch"
 HOOK_ALLOC = "alloc"
+
+#: cap on the draws of one rates plan (``devices x horizon``, or
+#: ``2 x conns x frames`` for a network plan): the default horizon on
+#: 10 devices, or the default frames on 512 connections
+MAX_PLAN_DRAWS = 1 << 20
 
 #: which hook each kind may fire on
 _VALID_HOOKS = {
@@ -177,12 +183,17 @@ class FaultPlan:
         device independently faults with the given probability, drawn
         once here from ``seed`` (per-device substreams, so adding a
         device never reshuffles the others). Ordinals past the horizon
-        never fault.
+        never fault. More than :data:`MAX_PLAN_DRAWS` draws are refused.
         """
         if devices < 1:
             raise FaultPlanError("devices must be at least 1")
         if horizon < 0:
             raise FaultPlanError("horizon must be non-negative")
+        if devices * horizon > MAX_PLAN_DRAWS:
+            raise FaultPlanError(
+                f"devices x horizon is {devices * horizon} draws, "
+                f"past the cap of {MAX_PLAN_DRAWS}"
+            )
         for name, rate in (
             ("transient_kernel", transient_kernel),
             ("device_lost", device_lost),
@@ -240,13 +251,14 @@ class FaultPlan:
         seed, lists, rates = parse_plan_document(
             payload, source, FaultPlanError, FAULT_PLAN_SCHEMA, ("events",),
             ("transient_kernel", "device_lost", "flaky_alloc", "devices", "horizon"),
+            counts=("devices", "horizon"),
         )
         merged: List[Union[FaultEvent, Dict[str, Any]]] = list(lists["events"])
         if rates is not None:
             generated = cls.from_rates(
                 seed,
-                devices=int(rates.get("devices", 1)),
-                horizon=int(rates.get("horizon", 100_000)),
+                devices=rates.get("devices", 1),
+                horizon=rates.get("horizon", 100_000),
                 transient_kernel=float(rates.get("transient_kernel", 0.0)),
                 device_lost=float(rates.get("device_lost", 0.0)),
                 flaky_alloc=float(rates.get("flaky_alloc", 0.0)),
@@ -290,10 +302,6 @@ class FaultInjector:
         self._alloc_ordinal = 0
         self.injected: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
 
-    @property
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
-
     def _fire(self, device: "Any", kind: str, where: str) -> None:
         self.injected[kind] += 1
         if kind == KIND_DEVICE_LOST:
@@ -327,14 +335,16 @@ def parse_plan_document(
     schema: str,
     lists: Tuple[str, ...],
     rate_keys: Tuple[str, ...],
+    counts: Tuple[str, ...] = (),
 ) -> Tuple[int, Dict[str, List[Dict[str, Any]]], Optional[Dict[str, Any]]]:
     """Check the shape every fault-plan document shares.
 
     A plan is an object with an optional ``schema`` (which must equal
     ``schema``), a non-negative integer ``seed``, the lists named in
     ``lists`` -- each of objects -- and an optional ``rates`` object
-    mapping keys of ``rate_keys`` to finite numbers. Anything else
-    raises ``error``. Returns ``(seed, {list name: entries}, rates)``.
+    mapping keys of ``rate_keys`` to finite numbers, integers for the
+    keys in ``counts``. Anything else raises ``error``. Returns
+    ``(seed, {list name: entries}, rates)``.
     """
     if not isinstance(payload, dict):
         raise error(f"{source}: expected an object at top level")
@@ -367,6 +377,8 @@ def parse_plan_document(
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
             if not (number and -math.inf < value < math.inf):
                 raise error(f"{source}: rates {key!r} must be a finite number")
+            if key in counts and not isinstance(value, int):
+                raise error(f"{source}: rates {key!r} must be an integer")
     return seed, entries, rates
 
 

@@ -43,8 +43,6 @@ class MemoryPool:
         self._budget = budget_bytes
         self._in_use = 0
         self._peak = 0
-        self._alloc_count = 0
-        self._free_count = 0
 
     @property
     def budget_bytes(self) -> Optional[int]:
@@ -60,14 +58,6 @@ class MemoryPool:
         """High-water mark of simultaneously allocated bytes."""
         return self._peak
 
-    @property
-    def alloc_count(self) -> int:
-        return self._alloc_count
-
-    @property
-    def free_count(self) -> int:
-        return self._free_count
-
     def reserve(self, nbytes: int) -> None:
         """Charge ``nbytes`` to the pool, raising on budget overflow."""
         if nbytes < 0:
@@ -75,7 +65,6 @@ class MemoryPool:
         if self._budget is not None and self._in_use + nbytes > self._budget:
             raise DeviceOOMError(nbytes, self._in_use, self._budget)
         self._in_use += nbytes
-        self._alloc_count += 1
         if self._in_use > self._peak:
             self._peak = self._in_use
 
@@ -88,7 +77,6 @@ class MemoryPool:
                 f"releasing {nbytes} B but only {self._in_use} B are in use"
             )
         self._in_use -= nbytes
-        self._free_count += 1
 
     def reset_peak(self) -> None:
         """Reset the high-water mark to the current usage."""

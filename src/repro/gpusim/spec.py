@@ -20,7 +20,7 @@ times are model artifacts and are reported as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["DeviceSpec", "CPUSpec", "A100_LIKE", "EPYC_LIKE"]
 
@@ -77,18 +77,9 @@ class DeviceSpec:
             raise ValueError("memory_bytes must be positive")
 
     @property
-    def warp_slots(self) -> int:
-        """Number of warps that execute concurrently."""
-        return self.lanes // self.warp_size
-
-    @property
     def ops_per_second(self) -> float:
         """Aggregate scalar throughput of the device."""
         return self.lanes * self.clock_hz
-
-    def with_memory(self, memory_bytes: int) -> "DeviceSpec":
-        """Return a copy of this spec with a different memory budget."""
-        return replace(self, memory_bytes=int(memory_bytes))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .csr import CSRGraph
-from .kcore import core_numbers
 
 __all__ = ["greedy_coloring", "coloring_upper_bound", "degeneracy_order"]
 
@@ -95,10 +94,3 @@ def coloring_upper_bound(graph: CSRGraph, use_degeneracy_order: bool = True) -> 
     order = degeneracy_order(graph) if use_degeneracy_order else None
     _, k = greedy_coloring(graph, order)
     return k
-
-
-def core_upper_bound(graph: CSRGraph) -> int:
-    """Upper bound on the clique number via degeneracy (``max core + 1``)."""
-    if graph.num_vertices == 0:
-        return 0
-    return int(core_numbers(graph).max()) + 1

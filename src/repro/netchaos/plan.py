@@ -57,7 +57,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import NetFaultPlanError, read_json
-from ..gpusim.faults import parse_plan_document
+from ..gpusim.faults import MAX_PLAN_DRAWS, parse_plan_document
 
 __all__ = [
     "NET_FAULT_PLAN_SCHEMA",
@@ -274,12 +274,18 @@ class NetFaultPlan:
         the hold applied by ``delay``/``stall`` events; split offsets
         (``at_byte``) are drawn in ``[1, 64]`` and clamped to the real
         frame length at apply time. Frames past the horizon are never
-        faulted.
+        faulted. More than :data:`~repro.gpusim.faults.MAX_PLAN_DRAWS`
+        draws are refused.
         """
         if conns < 1:
             raise NetFaultPlanError("conns must be at least 1")
         if frames < 0:
             raise NetFaultPlanError("frames must be non-negative")
+        if 2 * conns * frames > MAX_PLAN_DRAWS:
+            raise NetFaultPlanError(
+                f"2 x conns x frames is {2 * conns * frames} draws, "
+                f"past the cap of {MAX_PLAN_DRAWS}"
+            )
         for name, rate in (
             ("delay", delay), ("stall", stall), ("duplicate", duplicate),
             ("truncate", truncate), ("cut", cut),
@@ -360,13 +366,14 @@ class NetFaultPlan:
             ("events", "partitions"),
             ("conns", "frames", "delay", "stall", "duplicate", "truncate",
              "cut", "delay_s"),
+            counts=("conns", "frames"),
         )
         merged: List[Union[NetFaultEvent, Dict[str, Any]]] = list(lists["events"])
         if rates is not None:
             generated = cls.from_rates(
                 seed,
-                conns=int(rates.get("conns", 4)),
-                frames=int(rates.get("frames", 1024)),
+                conns=rates.get("conns", 4),
+                frames=rates.get("frames", 1024),
                 delay=float(rates.get("delay", 0.0)),
                 stall=float(rates.get("stall", 0.0)),
                 duplicate=float(rates.get("duplicate", 0.0)),

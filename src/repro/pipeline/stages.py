@@ -22,7 +22,9 @@ passes the :mod:`repro.core` adapter the config's
 all configure the one level loop in
 :class:`repro.engine.driver.LevelDriver` (see docs/ARCHITECTURE.md);
 deadlines are uniform :class:`~repro.core.deadline.Deadline` checks
-relabelled per search flavour by the adapters.
+relabelled per search flavour by the adapters. A kind that does not
+prune assembles its own result from the search's accumulator
+(``ProblemKind.result``); :func:`build_result` assembles max-clique's.
 """
 
 from __future__ import annotations
@@ -37,15 +39,10 @@ from ..core.concurrent import concurrent_windowed_search
 from ..core.config import Heuristic, RankKey
 from ..core.config import config_fingerprint as _config_fingerprint
 from ..core.heuristics import run_heuristic
-from ..core.result import (
-    KCliqueCountResult,
-    MaximalEnumResult,
-    MaxCliqueResult,
-    SetupStats,
-)
+from ..core.result import MaxCliqueResult, SetupStats
 from ..core.setup import build_two_clique_list
 from ..core.windowed import windowed_search
-from ..engine.problems import MAX_CLIQUE, resolve_kind
+from ..engine.problems import resolve_kind
 from ..errors import CheckpointError, DeviceLostError
 from ..graph.kcore import core_numbers
 from ..log import get_logger
@@ -60,8 +57,6 @@ __all__ = [
     "FullSearchStage",
     "WindowedSearchStage",
     "build_result",
-    "build_kclique_result",
-    "build_maximal_result",
     "default_stages",
 ]
 
@@ -192,13 +187,13 @@ class FullSearchStage:
         )
         try:
             _record_counters(ctx, outcome)
-            if kind is not MAX_CLIQUE:
-                ctx.result = _kind_result(
-                    ctx,
-                    outcome.state,
-                    levels=outcome.levels,
-                    stored=outcome.candidates_stored,
-                    search_mem=outcome.clique_list.total_bytes,
+            if not kind.prunes:
+                ctx.result = kind.result(
+                    ctx.graph, config, outcome.state, "search",
+                    **_telemetry(
+                        ctx, outcome.levels, stored=outcome.candidates_stored,
+                        search_mem=outcome.clique_list.total_bytes,
+                    ),
                 )
                 return
             if outcome.omega == 0:
@@ -352,8 +347,11 @@ class WindowedSearchStage:
             stored=outcome.candidates_stored,
             search_mem=outcome.peak_window_bytes,
         )
-        if kind is not MAX_CLIQUE:
-            ctx.result = _kind_result(ctx, outcome.state, **telemetry)
+        if not kind.prunes:
+            ctx.result = kind.result(
+                ctx.graph, config, outcome.state, "search",
+                **_telemetry(ctx, **telemetry),
+            )
             return
         # the windows carried ω̄ forward internally; persist the final
         # (possibly raised) bound in the context
@@ -402,14 +400,9 @@ def _stamp(ctx: ExecutionContext, ckpt):
     return ckpt
 
 
-def _kind_result(ctx: ExecutionContext, state, **telemetry):
-    """The result of a counting or enumeration kind from its accumulator."""
-    if ctx.config.problem == "k-clique-count":
-        return build_kclique_result(ctx, count=state.count, **telemetry)
-    return build_maximal_result(ctx, harvested=state.cliques, **telemetry)
-
-
-def _telemetry(ctx, levels, windows, stored, pruned, search_mem) -> dict:
+def _telemetry(
+    ctx, levels=None, windows=None, stored=0, pruned=0, search_mem=0
+) -> dict:
     """The telemetry fields every result kind shares.
 
     ``stage_times`` is attached *by reference*: the runner finishes
@@ -434,18 +427,10 @@ def _telemetry(ctx, levels, windows, stored, pruned, search_mem) -> dict:
 
 
 def build_result(
-    ctx: ExecutionContext,
-    omega,
-    count,
-    cliques,
-    found_by,
-    levels=None,
-    windows=None,
-    stored=0,
-    pruned=0,
-    search_mem=0,
+    ctx: ExecutionContext, omega, count, cliques, found_by, **search
 ) -> MaxCliqueResult:
-    """Assemble a :class:`MaxCliqueResult` from the context's state."""
+    """Assemble a :class:`MaxCliqueResult` from the context's state
+    and the search's :func:`_telemetry` figures."""
     return MaxCliqueResult(
         clique_number=int(omega),
         num_maximum_cliques=int(count),
@@ -453,57 +438,7 @@ def build_result(
         found_by=found_by,
         enumerated_all=ctx.config.enumerate_all,
         heuristic=ctx.heuristic,
-        **_telemetry(ctx, levels, windows, stored, pruned, search_mem),
-    )
-
-
-def build_kclique_result(
-    ctx: ExecutionContext,
-    count,
-    found_by="search",
-    levels=None,
-    windows=None,
-    stored=0,
-    search_mem=0,
-) -> KCliqueCountResult:
-    """Assemble a :class:`KCliqueCountResult` from the context's state."""
-    return KCliqueCountResult(
-        k=int(ctx.config.k),
-        count=int(count),
-        found_by=found_by,
-        **_telemetry(ctx, levels, windows, stored, 0, search_mem),
-    )
-
-
-def build_maximal_result(
-    ctx: ExecutionContext,
-    harvested,
-    found_by="search",
-    levels=None,
-    windows=None,
-    stored=0,
-    search_mem=0,
-) -> MaximalEnumResult:
-    """Assemble a :class:`MaximalEnumResult` from the context's state.
-
-    ``harvested`` is the engine's accumulated clique list (sorted
-    vertex tuples, sizes >= 2). Isolated vertices are singleton
-    maximal cliques that never enter the 2-clique list, so they are
-    added here; the combined set is put in canonical (size,
-    lexicographic) order and capped at ``max_cliques_report`` (the
-    total count stays exact).
-    """
-    singles = [(int(v),) for v in np.flatnonzero(ctx.graph.degrees == 0)]
-    ordered = sorted(singles + list(harvested), key=lambda c: (len(c), c))
-    total = len(ordered)
-    cap = ctx.config.max_cliques_report
-    return MaximalEnumResult(
-        num_maximal_cliques=total,
-        max_clique_size=len(ordered[-1]) if ordered else 0,
-        cliques=ordered[:cap],
-        enumerated_all=total <= cap,
-        found_by=found_by,
-        **_telemetry(ctx, levels, windows, stored, 0, search_mem),
+        **_telemetry(ctx, **search),
     )
 
 
@@ -511,14 +446,14 @@ def default_stages(config) -> List[Stage]:
     """The pipeline for the given configuration.
 
     The heuristic stage exists to raise the ω̄ pruning bound, which
-    only the max-clique kind may use -- the counting and enumeration
+    only a kind that ``prunes`` may use -- the counting and enumeration
     kinds must visit every clique, so their pipelines skip it (the
     setup stage then builds the 2-clique list at the ω̄ = 2 floor,
     pruning nothing).
     """
     search: Stage = WindowedSearchStage() if config.windowed else FullSearchStage()
     stages: List[Stage] = [CSRResidencyStage(), PreprocessStage()]
-    if config.problem == "max-clique":
+    if resolve_kind(config).prunes:
         stages.append(HeuristicStage())
     stages.append(TwoCliqueSetupStage())
     stages.append(search)

@@ -14,7 +14,7 @@ programmatically on :attr:`JobRecord.result`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional
 
 from ..core.config import SolverConfig
@@ -136,28 +136,13 @@ class JobRecord:
         return self.status == STATUS_OK
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe representation (drops the result object)."""
-        return {
-            "job_id": self.job_id,
-            "status": self.status,
-            "label": self.label,
-            "problem": self.problem,
-            "k": self.k,
-            "clique_number": self.clique_number,
-            "num_maximum_cliques": self.num_maximum_cliques,
-            "k_clique_count": self.k_clique_count,
-            "num_maximal_cliques": self.num_maximal_cliques,
-            "enumerated_all": self.enumerated_all,
-            "cache_hit": self.cache_hit,
-            "attempts": self.attempts,
-            "admission": self.admission,
-            "admission_reason": self.admission_reason,
-            "degraded": self.degraded,
-            "transient_retries": self.transient_retries,
-            "migrations": self.migrations,
-            "device": self.device,
-            "model_time_s": self.model_time_s,
-            "wall_time_s": self.wall_time_s,
-            "stage_model_times_s": dict(self.stage_model_times),
-            "error": self.error,
-        }
+        """JSON-safe representation: every field but ``result``, in order
+        (``stage_model_times`` as ``stage_model_times_s``)."""
+        out: Dict[str, Any] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "stage_model_times":
+                out["stage_model_times_s"] = dict(value)
+            elif f.name != "result":
+                out[f.name] = value
+        return out

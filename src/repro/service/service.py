@@ -39,7 +39,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.config import SolverConfig, is_time_budget
-from ..core.result import KCliqueCountResult, MaximalEnumResult
 from ..core.solver import MaxCliqueSolver
 from ..engine.executor import Executor, resolve_executor
 from ..errors import (
@@ -495,23 +494,18 @@ class SolveService:
             record.model_time_s += device.model_time_s - m0
             record.status = STATUS_OK
             record.error = None
-            if isinstance(result, KCliqueCountResult):
-                record.k = result.k
-                record.k_clique_count = result.count
-                record.enumerated_all = True
-            elif isinstance(result, MaximalEnumResult):
-                record.num_maximal_cliques = result.num_maximal_cliques
-                record.clique_number = result.max_clique_size
-                record.enumerated_all = result.enumerated_all
-            else:
-                record.clique_number = result.clique_number
-                record.num_maximum_cliques = result.num_maximum_cliques
-                record.enumerated_all = result.enumerated_all
-                # the executed mode degraded the answer when the caller
-                # asked for full enumeration but got a single clique
-                record.degraded = record.degraded or (
-                    request.config.enumerate_all and not result.enumerated_all
-                )
+            answer = result.answer
+            for attr, name in answer.fields:
+                if name not in (None, "cliques"):
+                    setattr(record, name, getattr(result, attr))
+            record.enumerated_all = result.enumerated_all
+            # degraded: asked to enumerate everything, got neither every
+            # row nor an exact count of them
+            record.degraded = record.degraded or (
+                request.config.enumerate_all
+                and not result.enumerated_all
+                and not answer.total_exact
+            )
             record.stage_model_times = dict(result.stage_times)
             record.result = result
             self.pool.note_success(dev_index)
@@ -531,29 +525,24 @@ class SolveService:
     def _from_cache(
         self, request: SolveRequest, cached: JobRecord, w0: float
     ) -> JobRecord:
-        """A fresh record for a cache hit: zero device time charged."""
-        return JobRecord(
+        """A fresh record for a cache hit: zero device time charged.
+        The answer and its ``stage_model_times`` (provenance) are the
+        cached record's; every per-run field starts afresh."""
+        return replace(
+            cached,
             job_id=request.job_id,
-            status=STATUS_OK,
             label=request.label,
-            problem=cached.problem,
-            k=cached.k,
-            clique_number=cached.clique_number,
-            num_maximum_cliques=cached.num_maximum_cliques,
-            k_clique_count=cached.k_clique_count,
-            num_maximal_cliques=cached.num_maximal_cliques,
-            enumerated_all=cached.enumerated_all,
             cache_hit=True,
             attempts=0,
             admission="cache",
             admission_reason="served from the result cache",
-            degraded=cached.degraded,
+            transient_retries=0,
+            migrations=0,
             device=None,
             model_time_s=0.0,
             wall_time_s=time.perf_counter() - w0,
-            # how the cached result was computed, for provenance
             stage_model_times=dict(cached.stage_model_times),
-            result=cached.result,
+            error=None,
         )
 
 

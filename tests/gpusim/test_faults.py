@@ -134,6 +134,9 @@ def test_load_rejects_malformed_fields(tmp_path):
         ({"seed": 0, "events": [[["device", 0]]]}, "events must be objects"),
         ({"seed": 0, "rates": {"devices": "x"}}, "rates 'devices'"),
         ({"seed": 0, "rates": {"horizon": float("inf")}}, "rates 'horizon'"),
+        ({"seed": 0, "rates": {"horizon": 1e30}}, "'horizon' must be an integer"),
+        ({"seed": 0, "rates": {"devices": 2.7}}, "'devices' must be an integer"),
+        ({"seed": 0, "rates": {"devices": 64, "horizon": 100000}}, "past the cap"),
     ):
         path.write_text(json.dumps(doc))
         with pytest.raises(FaultPlanError, match=match):

@@ -63,14 +63,6 @@ class TestMemoryPool:
         with pytest.raises(ValueError):
             MemoryPool(0)
 
-    def test_alloc_free_counts(self):
-        pool = MemoryPool(None)
-        pool.reserve(1)
-        pool.reserve(2)
-        pool.release(1)
-        assert pool.alloc_count == 2
-        assert pool.free_count == 1
-
 
 class TestDeviceArray:
     def test_wraps_and_charges(self):
@@ -87,7 +79,6 @@ class TestDeviceArray:
         arr.free()
         assert pool.in_use_bytes == 0
         arr.free()  # idempotent
-        assert pool.free_count == 1
 
     def test_use_after_free_raises(self):
         pool = MemoryPool(None)

@@ -9,15 +9,7 @@ class TestDeviceSpec:
     def test_defaults_valid(self):
         spec = DeviceSpec()
         assert spec.lanes % spec.warp_size == 0
-        assert spec.warp_slots == spec.lanes // spec.warp_size
         assert spec.ops_per_second == spec.lanes * spec.clock_hz
-
-    def test_with_memory_returns_new_spec(self):
-        spec = DeviceSpec()
-        other = spec.with_memory(123456)
-        assert other.memory_bytes == 123456
-        assert spec.memory_bytes != 123456  # frozen original untouched
-        assert other.lanes == spec.lanes
 
     @pytest.mark.parametrize(
         "kwargs",

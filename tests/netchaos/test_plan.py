@@ -180,6 +180,9 @@ class TestSerialization:
             ({"seed": 0, "events": ["ab"]}, "events must be objects"),
             ({"seed": 0, "rates": {"conns": "x"}}, "rates 'conns'"),
             ({"seed": 0, "rates": {"frames": None}}, "rates 'frames'"),
+            ({"seed": 0, "rates": {"frames": 1e30}}, "'frames' must be an integer"),
+            ({"seed": 0, "rates": {"conns": 1.5}}, "'conns' must be an integer"),
+            ({"seed": 0, "rates": {"conns": 600, "frames": 1024}}, "past the cap"),
         ):
             path.write_text(json.dumps(doc))
             with pytest.raises(NetFaultPlanError, match=match):

@@ -91,6 +91,7 @@ class TestBatch:
             b'{"seed": null}',
             b'{"seed": 0, "events": ["ab"]}',
             b'{"seed": 0, "rates": {"devices": "x"}}',
+            b'{"seed": 0, "rates": {"horizon": 1e30, "transient_kernel": 0.1}}',
             b"\xff\xfe",
         ):
             path.write_bytes(data)
