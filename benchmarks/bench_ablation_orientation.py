@@ -6,8 +6,6 @@ below the heuristic bound. This bench measures 2-clique pruning and
 total stored candidates under both orientations.
 """
 
-import pytest
-
 from repro.core.config import RankKey, SolverConfig
 from repro.datasets.suite import iter_suite
 from repro.experiments.harness import EVAL_SPEC, run_config

@@ -6,7 +6,6 @@ pruning quality correlates with heuristic accuracy; (5c) runtime does
 not grow with average degree the way it grows with size.
 """
 
-from repro.core.config import Heuristic
 from repro.experiments.figures import figure5
 from repro.experiments.report import geometric_mean
 

@@ -60,6 +60,9 @@ log = get_logger("cluster.router")
 #: Default TCP port of ``repro router`` (ten above the server's 7421).
 DEFAULT_ROUTER_PORT = 7431
 
+#: most ``session_lost`` tombstones kept; past it the oldest is evicted
+_MAX_LOST_SESSIONS = 4096
+
 
 @dataclass
 class RouterConfig:
@@ -142,10 +145,11 @@ class Router(WireEndpoint):
         self._inflight: Dict[str, _InFlight] = {}
         #: session id -> backend name (resident state lives *there*)
         self._pinned: Dict[str, str] = {}
-        #: sessions whose pinned backend died; their resident graph and
-        #: incremental state are gone, so operations fail with the
-        #: non-retriable ``session_lost`` until the client reopens
-        self._lost_sessions: Set[str] = set()
+        #: sessions whose pinned backend died, oldest first; their
+        #: resident graph and incremental state are gone, so operations
+        #: fail with the non-retriable ``session_lost`` until the client
+        #: reopens
+        self._lost_sessions: Dict[str, None] = {}
         self._bg_tasks: Set[asyncio.Task] = set()
         self._next_rid = 0
         self._rng = random.Random(config.jitter_seed)
@@ -247,9 +251,10 @@ class Router(WireEndpoint):
         if self._pinned.pop(sid, None) is not None:
             log.warning("session %r lost with its backend", sid)
             self.stats.inc("sessions.lost")
-        self._lost_sessions.add(sid)
-        while len(self._lost_sessions) > 4096:  # bounded tombstone set
-            self._lost_sessions.pop()
+        self._lost_sessions.pop(sid, None)  # a repeat loss is the newest
+        self._lost_sessions[sid] = None
+        if len(self._lost_sessions) > _MAX_LOST_SESSIONS:
+            del self._lost_sessions[next(iter(self._lost_sessions))]
 
     # ------------------------------------------------------------------
     # checkpoint polling (failover state shipping)
@@ -733,7 +738,7 @@ class Router(WireEndpoint):
         self.health[name].note_success()
         if ftype == "open-session":
             self._pinned[sid] = name
-            self._lost_sessions.discard(sid)
+            self._lost_sessions.pop(sid, None)
             self.stats.inc("sessions.opened")
         elif ftype == "close-session":
             self._pinned.pop(sid, None)

@@ -19,12 +19,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-import numpy as np
-
 from ..graph.csr import CSRGraph
 from ..gpusim.device import Device
 from ..gpusim.spec import DeviceSpec
-from .clique_list import CliqueList
 from .config import SublistOrder
 from .setup import build_two_clique_list
 

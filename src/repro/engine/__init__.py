@@ -29,7 +29,7 @@ from .executor import (
     ThreadedExecutor,
     resolve_executor,
 )
-from .passes import chunk_slices, count_pass, expand_pairs, output_pass
+from .passes import chunk_slices, count_pass, output_pass, pair_partners
 from .problems import (
     MAX_CLIQUE,
     KCliqueCountKind,
@@ -54,7 +54,7 @@ __all__ = [
     "resolve_kind",
     "merge_state",
     "chunk_slices",
-    "expand_pairs",
+    "pair_partners",
     "count_pass",
     "output_pass",
     "Executor",

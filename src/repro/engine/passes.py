@@ -17,7 +17,7 @@ from ..graph.csr import CSRGraph
 
 __all__ = [
     "chunk_slices",
-    "expand_pairs",
+    "pair_partners",
     "count_pass",
     "output_pass",
     "run_boundaries_host",
@@ -42,31 +42,40 @@ def chunk_slices(tail: np.ndarray, chunk_pairs: int):
         start = stop
 
 
-def expand_pairs(tail_slice: np.ndarray, start: int):
-    """Flat (idx1, idx2) pair arrays for threads [start, start+len)."""
-    total = int(tail_slice.sum())
-    reps = tail_slice.astype(np.int64)
-    idx1 = start + np.repeat(np.arange(tail_slice.size, dtype=np.int64), reps)
-    ends = np.cumsum(reps)
-    starts = ends - reps
-    within = np.arange(total, dtype=np.int64) - np.repeat(starts, reps)
-    idx2 = idx1 + 1 + within
-    return idx1, idx2
+def pair_partners(threads: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """Second members of the pairs of ``threads``, flat and in order.
+
+    Thread ``i`` with ``r`` pairs pairs with threads ``i+1 .. i+r``.
+    """
+    # pair p of a thread whose first pair is `first` has partner
+    # p + i + 1 - first
+    first = np.cumsum(reps) - reps
+    idx2 = np.repeat(threads + 1 - first, reps)
+    idx2 += np.arange(idx2.size, dtype=np.int64)
+    return idx2
+
+
+def _thread_hits(found: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """Per-thread sums of ``found``, each thread owning ``reps`` pairs."""
+    hits = np.zeros(reps.size, dtype=np.int64)
+    busy = np.flatnonzero(reps)
+    if busy.size:
+        first = np.cumsum(reps) - reps
+        hits[busy] = np.add.reduceat(found, first[busy], dtype=np.int64)
+    return hits
 
 
 def count_pass(
     graph: CSRGraph, vertex: np.ndarray, tail: np.ndarray, chunk_pairs: int
 ) -> np.ndarray:
     """Per-thread successful-lookup counts (CountCliques)."""
-    n = tail.size
-    counts = np.zeros(n, dtype=np.int64)
+    counts = np.zeros(tail.size, dtype=np.int64)
     for start, stop in chunk_slices(tail, chunk_pairs):
-        idx1, idx2 = expand_pairs(tail[start:stop], start)
-        found = graph.batch_has_edge(vertex[idx1], vertex[idx2])
-        if found.any():
-            counts[start:stop] += np.bincount(
-                idx1[found] - start, minlength=stop - start
-            )
+        reps = tail[start:stop]
+        idx2 = pair_partners(np.arange(start, stop, dtype=np.int64), reps)
+        u = np.repeat(vertex[start:stop], reps)
+        found = graph.batch_has_edge(u, vertex[idx2])
+        counts[start:stop] = _thread_hits(found, reps)
     return counts
 
 
@@ -81,30 +90,21 @@ def output_pass(
     chunk_pairs: int,
 ) -> None:
     """Write surviving candidates into the new node (OutputNewCliques)."""
-    live = counts > 0
-    for start, stop in chunk_slices(tail, chunk_pairs):
-        idx1, idx2 = expand_pairs(tail[start:stop], start)
-        # pruned threads (count zeroed) write nothing
-        keep = live[idx1]
-        idx1, idx2 = idx1[keep], idx2[keep]
-        if idx1.size == 0:
-            continue
-        found = graph.batch_has_edge(vertex[idx1], vertex[idx2])
-        f1 = idx1[found]
-        f2 = idx2[found]
-        # output position: thread offset + rank among the thread's hits
-        # (f1 is non-decreasing, so ranks come from run starts)
-        if f1.size:
-            run_start = np.flatnonzero(
-                np.concatenate(([True], f1[1:] != f1[:-1]))
-            )
-            run_len = np.diff(np.concatenate([run_start, [f1.size]]))
-            rank = np.arange(f1.size, dtype=np.int64) - np.repeat(
-                run_start, run_len
-            )
-            pos = offsets[f1] + rank
-            new_vertex[pos] = vertex[f2]
-            new_sublist[pos] = f1.astype(np.int32)
+    # pruned threads (count zeroed) expand no pairs and write nothing
+    live = np.flatnonzero(counts > 0)
+    live_tail = tail[live]
+    for a, b in chunk_slices(live_tail, chunk_pairs):
+        threads, reps = live[a:b], live_tail[a:b]
+        idx2 = pair_partners(threads, reps)
+        u = np.repeat(vertex[threads], reps)
+        found = graph.batch_has_edge(u, vertex[idx2])
+        # the hits come grouped by thread, in order: thread i's rank-r
+        # hit goes to offsets[i] + r
+        hits = _thread_hits(found, reps)
+        pos = np.repeat(offsets[threads] - (np.cumsum(hits) - hits), hits)
+        pos += np.arange(pos.size, dtype=np.int64)
+        new_vertex[pos] = vertex[idx2[found]]
+        new_sublist[pos] = np.repeat(threads.astype(np.int32), hits)
 
 
 def run_boundaries_host(values: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import csv
 import dataclasses
 import json
 from pathlib import Path
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Union
 
 from .figures import SpeedupFigure, ThroughputFigure, WindowFigure
 from .harness import RunRecord

@@ -15,16 +15,8 @@ from typing import Dict, List, Optional, Tuple
 from ..core.config import Heuristic, SolverConfig, WindowOrder
 from ..datasets.suite import iter_suite
 from ..gpusim.spec import DeviceSpec
-from .harness import (
-    EVAL_SPEC,
-    HEURISTICS,
-    RunRecord,
-    best_run,
-    heuristic_probe,
-    pmc_reference,
-    run_config,
-)
-from .report import geometric_mean, render_series, render_table, spearman
+from .harness import EVAL_SPEC, HEURISTICS, RunRecord, best_run, run_config
+from .report import geometric_mean, render_table, spearman
 from .tables import full_sweep
 
 __all__ = [

@@ -19,12 +19,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..core.config import Heuristic, SolverConfig
 from ..core.solver import MaxCliqueSolver
 from ..baselines.pmc import PMCResult, pmc_max_clique
-from ..datasets.suite import DatasetSpec, iter_suite
+from ..datasets.suite import DatasetSpec
 from ..errors import DeviceOOMError, SolveTimeoutError
 from ..gpusim.device import Device
 from ..gpusim.spec import DeviceSpec

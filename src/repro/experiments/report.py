@@ -8,7 +8,7 @@ report; these utilities keep that output consistent and dependency-free
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 

@@ -24,7 +24,7 @@ total work (Section V-C2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Union
 
 import numpy as np

@@ -254,17 +254,20 @@ class FaultPlan:
             counts=("devices", "horizon"),
         )
         merged: List[Union[FaultEvent, Dict[str, Any]]] = list(lists["events"])
-        if rates is not None:
-            generated = cls.from_rates(
-                seed,
-                devices=rates.get("devices", 1),
-                horizon=rates.get("horizon", 100_000),
-                transient_kernel=float(rates.get("transient_kernel", 0.0)),
-                device_lost=float(rates.get("device_lost", 0.0)),
-                flaky_alloc=float(rates.get("flaky_alloc", 0.0)),
-            )
-            merged.extend(generated.events)
-        return cls(merged, seed=seed)
+        try:
+            if rates is not None:
+                generated = cls.from_rates(
+                    seed,
+                    devices=rates.get("devices", 1),
+                    horizon=rates.get("horizon", 100_000),
+                    transient_kernel=float(rates.get("transient_kernel", 0.0)),
+                    device_lost=float(rates.get("device_lost", 0.0)),
+                    flaky_alloc=float(rates.get("flaky_alloc", 0.0)),
+                )
+                merged.extend(generated.events)
+            return cls(merged, seed=seed)
+        except FaultPlanError as exc:
+            raise FaultPlanError(f"{source}: {exc}") from exc
 
     # ------------------------------------------------------------------
     def injector_for(self, device_index: int) -> Optional["FaultInjector"]:

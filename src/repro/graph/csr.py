@@ -8,20 +8,28 @@ GPU global memory and answers every edge query with a binary search
 
 Two lookup strategies are provided:
 
-* ``"keys"`` (default) -- a single vectorised ``searchsorted`` over the
-  globally sorted ``row * n + col`` edge-key array. Because rows are
-  stored in increasing row order and each row is sorted, the key array
-  is globally sorted, so one call resolves an arbitrary batch.
+* ``"keys"`` (default) -- look up each query's edge key ``u * n + v``.
+  A graph whose packed adjacency bitmap (one bit per key, ``ceil(n*n /
+  8)`` bytes) fits :data:`BITMAP_BUDGET_BYTES` builds that bitmap on its
+  first lookup and answers every query with one bit test. A larger
+  graph runs a single vectorised ``searchsorted`` over the globally
+  sorted ``row * n + col`` edge-key array: rows are stored in
+  increasing order and each row is sorted, so the key array is
+  globally sorted and one call resolves an arbitrary batch. Both need
+  every id in ``[0, n)``: an out-of-range ``v`` would alias another
+  key (``(u, n)`` is ``(u + 1, 0)``).
 * ``"binary"`` -- an explicit lockstep binary search over per-row
   ranges, iterating ``ceil(log2(max_degree))`` vectorised steps. This
-  is the faithful transcription of the device kernel and is used to
-  cross-validate the fast path in tests.
+  is the faithful transcription of the device kernel and is the oracle
+  the fast paths are tested against.
 
 Either way, the *cost charged to the device* is the same: one binary
 search of the source vertex's adjacency list, i.e.
 ``ceil(log2(deg(u) + 1)) + 1`` ops per query -- this is the dominant
 work term of Algorithm 2 and the reason high-degree graphs run slower
-(Section V-A).
+(Section V-A). The bitmap and the key array are host lookup indexes:
+no launch charges their construction and :attr:`CSRGraph.nbytes`
+does not count them.
 """
 
 from __future__ import annotations
@@ -33,7 +41,12 @@ import numpy as np
 from ..errors import GraphFormatError
 from ..gpusim.device import Device
 
-__all__ = ["CSRGraph"]
+__all__ = ["BITMAP_BUDGET_BYTES", "CSRGraph"]
+
+#: largest packed adjacency bitmap a graph builds for its edge lookups;
+#: ``ceil(n*n / 8)`` bytes fit up to n = 16,384, and every key of a
+#: graph under it fits ``int32`` (at most 2**28 bits)
+BITMAP_BUDGET_BYTES = 32 << 20
 
 
 class CSRGraph:
@@ -61,6 +74,7 @@ class CSRGraph:
         "row_offsets",
         "col_indices",
         "_edge_keys",
+        "_bitmap",
         "_lookup_cost",
         "_fingerprint",
     )
@@ -75,6 +89,7 @@ class CSRGraph:
         self.row_offsets = np.ascontiguousarray(row_offsets, dtype=np.int64)
         self.col_indices = np.ascontiguousarray(col_indices, dtype=np.int32)
         self._edge_keys = edge_keys
+        self._bitmap: Optional[np.ndarray] = None
         self._lookup_cost: Optional[np.ndarray] = None
         self._fingerprint: Optional[str] = None
         if validate:
@@ -166,6 +181,32 @@ class CSRGraph:
         return self._edge_keys
 
     @property
+    def adjacency_bitmap(self) -> Optional[np.ndarray]:
+        """Packed adjacency bitmap, or None over :data:`BITMAP_BUDGET_BYTES`.
+
+        ``uint8`` array of ``ceil(n*n / 8)`` bytes with bit ``key & 7``
+        of byte ``key >> 3`` set for every :attr:`edge_keys` entry.
+        Built lazily from the sorted keys: each byte ORs the bit masks
+        of the keys that fall in it.
+        """
+        if self._bitmap is None:
+            n = self.num_vertices
+            size = (n * n + 7) // 8
+            if size > BITMAP_BUDGET_BYTES:
+                return None
+            keys = self.edge_keys
+            bitmap = np.zeros(size, dtype=np.uint8)
+            if keys.size:
+                byte = keys >> 3
+                bits = np.left_shift(np.uint8(1), (keys & 7).astype(np.uint8))
+                starts = np.flatnonzero(
+                    np.concatenate(([True], byte[1:] != byte[:-1]))
+                )
+                bitmap[byte[starts]] = np.bitwise_or.reduceat(bits, starts)
+            self._bitmap = bitmap
+        return self._bitmap
+
+    @property
     def lookup_cost(self) -> np.ndarray:
         """Per-vertex op cost of one adjacency binary search."""
         if self._lookup_cost is None:
@@ -191,13 +232,16 @@ class CSRGraph:
         Parameters
         ----------
         u, v:
-            Equal-length integer arrays of endpoints.
+            Equal-length integer arrays of endpoints, every id in
+            ``[0, n)`` (out-of-range ids alias other keys or raise).
         device:
             When given, charges the device one kernel with the per-query
             binary-search cost ``ceil(log2(deg(u)+1)) + 1``.
         method:
-            ``"keys"`` (fast path) or ``"binary"`` (faithful lockstep
-            search used for validation).
+            ``"keys"`` (fast path: the :attr:`adjacency_bitmap` when the
+            graph has one, otherwise a search of the sorted
+            :attr:`edge_keys`) or ``"binary"`` (faithful lockstep search,
+            the oracle the fast path is tested against).
         """
         u = np.asarray(u)
         v = np.asarray(v)
@@ -211,10 +255,23 @@ class CSRGraph:
         if u.size == 0:
             return np.zeros(0, dtype=bool)
         if method == "keys":
+            bitmap = self.adjacency_bitmap
+            if bitmap is not None:
+                return self._lookup_bitmap(bitmap, u, v)
             return self._lookup_keys(u, v)
         if method == "binary":
             return self._lookup_binary(u, v)
         raise ValueError(f"unknown lookup method {method!r}")
+
+    def _lookup_bitmap(
+        self, bitmap: np.ndarray, u: np.ndarray, v: np.ndarray
+    ) -> np.ndarray:
+        q = np.multiply(u, self.num_vertices, dtype=np.int32)
+        q += v
+        hit = bitmap.take(q >> 3)
+        hit >>= (q & 7).astype(np.uint8)
+        hit &= 1
+        return hit.view(bool)
 
     def _lookup_keys(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         n = self.num_vertices

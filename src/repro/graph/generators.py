@@ -24,7 +24,7 @@ simple :class:`~repro.graph.csr.CSRGraph` objects.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 

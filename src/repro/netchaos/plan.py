@@ -369,20 +369,23 @@ class NetFaultPlan:
             counts=("conns", "frames"),
         )
         merged: List[Union[NetFaultEvent, Dict[str, Any]]] = list(lists["events"])
-        if rates is not None:
-            generated = cls.from_rates(
-                seed,
-                conns=rates.get("conns", 4),
-                frames=rates.get("frames", 1024),
-                delay=float(rates.get("delay", 0.0)),
-                stall=float(rates.get("stall", 0.0)),
-                duplicate=float(rates.get("duplicate", 0.0)),
-                truncate=float(rates.get("truncate", 0.0)),
-                cut=float(rates.get("cut", 0.0)),
-                delay_s=float(rates.get("delay_s", 0.02)),
-            )
-            merged.extend(generated.events)
-        return cls(merged, partitions=lists["partitions"], seed=seed)
+        try:
+            if rates is not None:
+                generated = cls.from_rates(
+                    seed,
+                    conns=rates.get("conns", 4),
+                    frames=rates.get("frames", 1024),
+                    delay=float(rates.get("delay", 0.0)),
+                    stall=float(rates.get("stall", 0.0)),
+                    duplicate=float(rates.get("duplicate", 0.0)),
+                    truncate=float(rates.get("truncate", 0.0)),
+                    cut=float(rates.get("cut", 0.0)),
+                    delay_s=float(rates.get("delay_s", 0.02)),
+                )
+                merged.extend(generated.events)
+            return cls(merged, partitions=lists["partitions"], seed=seed)
+        except NetFaultPlanError as exc:
+            raise NetFaultPlanError(f"{source}: {exc}") from exc
 
 
 def load_net_fault_plan(path: Union[str, Path]) -> NetFaultPlan:

@@ -28,7 +28,6 @@ from ..log import get_logger
 from ..server import protocol
 from ..server.endpoint import EndpointThread, Listener
 from .plan import (
-    KIND_CUT,
     KIND_DELAY,
     KIND_DUPLICATE,
     KIND_STALL,

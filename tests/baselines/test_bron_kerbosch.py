@@ -1,7 +1,6 @@
 """Bron-Kerbosch maximal clique enumeration tests."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,8 +1,5 @@
 """Warp-parallel GPU DFS baseline tests."""
 
-import numpy as np
-import pytest
-
 from repro.baselines import gpu_dfs_max_clique, maximum_cliques_via_bk
 from repro.graph import from_edge_list
 from repro.graph import generators as gen

@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.cluster.router import Router, RouterConfig
 from repro.errors import ServerError
 from repro.graph import from_edge_list
 from repro.server import SolveClient
@@ -228,3 +229,24 @@ class TestSessionLoss:
         with pytest.raises(ServerError) as exc_info:
             client.mutate("was-here", insert=[(0, 1)], deadline_s=30.0)
         assert exc_info.value.code == "session_lost"
+
+
+class TestLostSessionTombstones:
+    def test_cap_evicts_the_oldest(self):
+        # no backend listens: the tombstone table needs none
+        router = Router(RouterConfig(backends=[("127.0.0.1", 1)], port=0))
+        sids = [f"lost-{i}" for i in range(2 * 4096)]
+        for sid in sids:
+            router._mark_session_lost(sid)
+        # the newest 4,096 still answer session_lost, in loss order
+        assert list(router._lost_sessions) == sids[4096:]
+        assert router.stats_frame()["router"]["sessions_lost"] == 4096
+
+    def test_repeat_loss_refreshes_the_tombstone(self):
+        router = Router(RouterConfig(backends=[("127.0.0.1", 1)], port=0))
+        for i in range(4096):
+            router._mark_session_lost(f"lost-{i}")
+        router._mark_session_lost("lost-0")
+        router._mark_session_lost("newest")
+        assert "lost-0" in router._lost_sessions
+        assert "lost-1" not in router._lost_sessions

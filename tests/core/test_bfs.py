@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.bfs import bfs_search
-from repro.engine.passes import chunk_slices, expand_pairs
+from repro.engine.passes import chunk_slices, pair_partners
 from repro.core.setup import build_two_clique_list
 from repro.errors import DeviceOOMError, SolveTimeoutError
 from repro.graph import from_edge_list
@@ -120,11 +120,15 @@ class TestChunkHelpers:
         tail = np.array([100])
         assert list(chunk_slices(tail, 4)) == [(0, 1)]
 
-    def test_expand_pairs(self):
-        idx1, idx2 = expand_pairs(np.array([2, 0, 1]), start=5)
-        assert idx1.tolist() == [5, 5, 7]
-        assert idx2.tolist() == [6, 7, 8]
+    def test_pair_partners(self):
+        # threads 5 and 7 pair with (6, 7) and (8)
+        threads, reps = np.array([5, 6, 7]), np.array([2, 0, 1])
+        assert pair_partners(threads, reps).tolist() == [6, 7, 8]
+        # any subset of threads, e.g. the live ones
+        partners = pair_partners(np.array([1, 9]), np.array([1, 3]))
+        assert partners.tolist() == [2, 10, 11, 12]
 
-    def test_expand_pairs_empty(self):
-        idx1, idx2 = expand_pairs(np.zeros(0, dtype=np.int64), 0)
-        assert idx1.size == 0
+    def test_pair_partners_empty(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert pair_partners(empty, empty).size == 0
+        assert pair_partners(np.arange(3), np.zeros(3, dtype=np.int64)).size == 0

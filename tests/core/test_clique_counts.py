@@ -2,7 +2,6 @@
 
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 from repro.core.clique_counts import clique_profile, count_k_cliques

@@ -6,8 +6,6 @@ sublist tails), high-degree graphs diverge more, and the latency
 bound penalises tiny windows.
 """
 
-import pytest
-
 from repro import Device, DeviceSpec, MaxCliqueSolver, SolverConfig
 from repro.graph import generators as gen
 

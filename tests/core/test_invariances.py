@@ -7,12 +7,11 @@ vertex increases it by exactly one.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import find_maximum_cliques
-from repro.graph import from_edge_array, from_edge_list, induced_subgraph, relabel_random
+from repro.graph import from_edge_array, induced_subgraph, relabel_random
 from repro.graph import generators as gen
 from repro.graph.build import graph_union
 

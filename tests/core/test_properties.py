@@ -5,8 +5,6 @@ paper-level invariants: exactness of ω, completeness of enumeration,
 heuristic soundness, windowed/full agreement, and monotone pruning.
 """
 
-import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

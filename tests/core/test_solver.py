@@ -1,6 +1,5 @@
 """Integration tests: the full solver pipeline against oracles."""
 
-import numpy as np
 import pytest
 
 from repro import (

@@ -8,7 +8,6 @@ two monotonicity invariants after every batch of edits:
   oracle at every step.
 """
 
-import numpy as np
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from hypothesis import strategies as st

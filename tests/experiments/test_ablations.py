@@ -1,7 +1,5 @@
 """Ablation runner tests on a tiny suite slice."""
 
-import pytest
-
 from repro.experiments.ablations import (
     coloring_preprune_ablation,
     orientation_ablation,

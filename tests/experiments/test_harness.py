@@ -5,7 +5,6 @@ import pytest
 from repro.core.config import Heuristic, SolverConfig
 from repro.datasets.suite import SUITE, load
 from repro.experiments.harness import (
-    EVAL_SPEC,
     best_run,
     heuristic_probe,
     pmc_reference,

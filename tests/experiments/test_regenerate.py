@@ -2,8 +2,6 @@
 
 import io
 
-import pytest
-
 from repro.experiments.regenerate import main, regenerate
 
 

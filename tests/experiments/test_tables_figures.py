@@ -4,8 +4,6 @@ Full-suite shape assertions live in the benchmark harness; here we
 check the machinery end-to-end on the smallest datasets.
 """
 
-import pytest
-
 from repro.experiments.figures import figure2, figure3, figure4, figure5, figure6
 from repro.experiments.tables import table1, table2
 

@@ -137,10 +137,18 @@ def test_load_rejects_malformed_fields(tmp_path):
         ({"seed": 0, "rates": {"horizon": 1e30}}, "'horizon' must be an integer"),
         ({"seed": 0, "rates": {"devices": 2.7}}, "'devices' must be an integer"),
         ({"seed": 0, "rates": {"devices": 64, "horizon": 100000}}, "past the cap"),
+        ({"seed": 0, "rates": {"devices": 0}}, "devices must be at least 1"),
+        ({"seed": 0, "rates": {"transient_kernel": 1.5}}, "rate must be in"),
+        (
+            {"events": [{"device": 0, "on": "launch", "ordinal": 0, "kind": "nope"}]},
+            "unknown fault kind 'nope'",
+        ),
     ):
         path.write_text(json.dumps(doc))
-        with pytest.raises(FaultPlanError, match=match):
+        with pytest.raises(FaultPlanError, match=match) as info:
             load_fault_plan(path)
+        # every refusal names the plan file
+        assert str(info.value).startswith(f"{path}: ")
 
 
 def test_rates_key_materializes(tmp_path):

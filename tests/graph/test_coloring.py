@@ -1,7 +1,6 @@
 """Greedy colouring and degeneracy-order tests."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

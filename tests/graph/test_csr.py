@@ -1,13 +1,16 @@
 """Unit + property tests for the CSR graph structure."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
-from repro.graph import CSRGraph, from_edge_list
+from repro.graph import CSRGraph, csr, from_edge_array, from_edge_list
 from repro.graph import generators as gen
+from repro.graph.build import splice_edges
 from repro.gpusim import Device, DeviceSpec
 
 
@@ -180,3 +183,94 @@ class TestEdgeLookup:
         got = g.batch_has_edge(u, v)
         want = np.array([b in adj[a] for a, b in zip(u.tolist(), v.tolist())])
         assert (got == want).all()
+
+
+@st.composite
+def lookup_graphs(draw):
+    """Graphs of 0-70 vertices with isolated ones; some spliced."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 70))
+    src, dst = np.triu_indices(n, 1)
+    keep = rng.random(src.size) < draw(st.floats(0.0, 0.6))
+    # the top few ids stay isolated
+    keep &= dst < n - draw(st.integers(0, 3))
+    graph = from_edge_array(src[keep], dst[keep], num_vertices=n)
+    if n and draw(st.booleans()):
+        edges = list(zip(src[keep].tolist(), dst[keep].tolist()))
+        deleted = [e for e in edges if rng.random() < 0.3]
+        absent = zip(src[~keep].tolist(), dst[~keep].tolist())
+        inserted = [e for e in absent if rng.random() < 0.1]
+        grown = n + draw(st.integers(0, 9))
+        if grown > n:
+            inserted.append((0, grown - 1))
+        graph = splice_edges(graph, inserted, deleted, grown)
+    return graph
+
+
+def adjacency_oracle(graph):
+    n = graph.num_vertices
+    adj = {v: set(graph.neighbors(v).tolist()) for v in range(n)}
+    u, v = np.divmod(np.arange(n * n, dtype=np.int64), max(n, 1))
+    want = [b in adj[a] for a, b in zip(u.tolist(), v.tolist())]
+    return u, v, np.array(want, dtype=bool)
+
+
+class TestLookupPaths:
+    """The bitmap and the key search against the binary oracle."""
+
+    @given(lookup_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_both_paths_match_the_oracles(self, graph):
+        n = graph.num_vertices
+        u, v, want = adjacency_oracle(graph)
+        size = (n * n + 7) // 8
+        # every ordered pair, as int32 (the passes) and int64 ids
+        for budget, bitmap in (
+            (csr.BITMAP_BUDGET_BYTES, True), (size - 1, False)
+        ):
+            with mock.patch.object(csr, "BITMAP_BUDGET_BYTES", budget):
+                g = CSRGraph(graph.row_offsets, graph.col_indices)
+                assert (g.adjacency_bitmap is not None) == bitmap
+                for dtype in (np.int32, np.int64):
+                    got = g.batch_has_edge(u.astype(dtype), v.astype(dtype))
+                    assert got.dtype == bool and np.array_equal(got, want)
+                binary = g.batch_has_edge(u, v, method="binary")
+                assert np.array_equal(binary, want)
+
+    def test_bitmap_layout(self):
+        g = gen.erdos_renyi(37, 0.3, seed=4)  # 37 is not a multiple of 8
+        bits = np.unpackbits(g.adjacency_bitmap, bitorder="little")
+        dense = np.zeros((37, 37), dtype=np.uint8)
+        rows = np.repeat(np.arange(37), g.degrees)
+        dense[rows, g.col_indices] = 1
+        assert g.adjacency_bitmap.size == (37 * 37 + 7) // 8
+        assert np.array_equal(bits[: 37 * 37], dense.ravel())
+        assert not bits[37 * 37 :].any()
+
+    def test_bitmap_at_exact_budget(self, monkeypatch):
+        g = gen.erdos_renyi(37, 0.3, seed=4)
+        size = (37 * 37 + 7) // 8
+        monkeypatch.setattr(csr, "BITMAP_BUDGET_BYTES", size)
+        nbytes = g.nbytes
+        assert g.adjacency_bitmap is not None
+        assert g.adjacency_bitmap is g.adjacency_bitmap  # built once
+        # a host index: not device memory
+        assert g.nbytes == nbytes
+        assert nbytes == g.row_offsets.nbytes + g.col_indices.nbytes
+        monkeypatch.setattr(csr, "BITMAP_BUDGET_BYTES", size - 1)
+        over = CSRGraph(g.row_offsets, g.col_indices)
+        assert over.adjacency_bitmap is None
+        u, v, want = adjacency_oracle(g)
+        assert np.array_equal(over.batch_has_edge(u, v), want)
+
+    def test_device_charge_is_path_independent(self, monkeypatch):
+        g = gen.erdos_renyi(30, 0.4, seed=2)
+        u, v, _ = adjacency_oracle(g)
+        stats = []
+        for budget in (csr.BITMAP_BUDGET_BYTES, 0):
+            monkeypatch.setattr(csr, "BITMAP_BUDGET_BYTES", budget)
+            graph = CSRGraph(g.row_offsets, g.col_indices)
+            dev = Device(DeviceSpec())
+            graph.batch_has_edge(u, v, device=dev)
+            stats.append(dev.stats())
+        assert stats[0] == stats[1]

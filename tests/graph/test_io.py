@@ -1,6 +1,5 @@
 """Round-trip and failure-injection tests for graph file IO."""
 
-import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError

@@ -5,8 +5,6 @@ lossless; (2) arbitrary text never crashes a parser with anything but
 :class:`~repro.errors.GraphFormatError` (or produces a valid graph).
 """
 
-import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

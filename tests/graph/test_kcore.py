@@ -1,7 +1,6 @@
 """k-core decomposition vs the networkx oracle."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

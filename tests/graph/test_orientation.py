@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import from_edge_list, orient_edges, orientation_rank
+from repro.graph import orient_edges, orientation_rank
 from repro.graph import generators as gen
 
 

@@ -1,6 +1,5 @@
 """Graph statistics tests."""
 
-import numpy as np
 import pytest
 
 from repro.graph import from_edge_list

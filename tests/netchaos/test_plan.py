@@ -183,10 +183,20 @@ class TestSerialization:
             ({"seed": 0, "rates": {"frames": 1e30}}, "'frames' must be an integer"),
             ({"seed": 0, "rates": {"conns": 1.5}}, "'conns' must be an integer"),
             ({"seed": 0, "rates": {"conns": 600, "frames": 1024}}, "past the cap"),
+            ({"seed": 0, "rates": {"conns": 0}}, "conns must be at least 1"),
+            ({"seed": 0, "rates": {"cut": 1.5}}, "rate must be in"),
+            (
+                {"events": [{"conn": 0, "direction": "c2s", "frame": 0,
+                             "kind": "nope"}]},
+                "unknown net fault kind 'nope'",
+            ),
+            ({"partitions": [{"start_s": 0.0, "duration_s": 0.0}]}, "duration_s"),
         ):
             path.write_text(json.dumps(doc))
-            with pytest.raises(NetFaultPlanError, match=match):
+            with pytest.raises(NetFaultPlanError, match=match) as info:
                 load_net_fault_plan(path)
+            # every refusal names the plan file
+            assert str(info.value).startswith(f"{path}: ")
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(NetFaultPlanError, match="cannot read"):

@@ -8,13 +8,9 @@ from repro.core.solver import MaxCliqueSolver
 from repro.graph import generators as gen
 from repro.gpusim import Device, DeviceSpec
 from repro.pipeline import (
-    CSRResidencyStage,
     ExecutionContext,
     FullSearchStage,
-    HeuristicStage,
-    PreprocessStage,
     Stage,
-    TwoCliqueSetupStage,
     WindowedSearchStage,
     default_stages,
     run_pipeline,

@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.errors import ProtocolError, ServerError
+from repro.errors import ServerError
 from repro.graph import from_edge_list
 from repro.server import SolveClient, protocol
 

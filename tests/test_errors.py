@@ -1,7 +1,5 @@
 """Exception hierarchy tests."""
 
-import pytest
-
 from repro.errors import (
     DeviceOOMError,
     DeviceStateError,
