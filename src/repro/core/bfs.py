@@ -76,7 +76,8 @@ def bfs_search(
         chunk_pairs=chunk_pairs,
         deadline=as_deadline(deadline, "breadth-first search"),
     )
-    return driver.run(
-        src, dst, omega_bar, early_exit_heuristic=early_exit_heuristic,
+    (outcome,) = driver.run(
+        [(src, dst)], omega_bar, early_exit_heuristic=early_exit_heuristic,
         kind=kind,
     )
+    return outcome

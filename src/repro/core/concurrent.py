@@ -5,11 +5,11 @@ windows *sequentially*, and sketches the fix: "multiple windows could
 be explored simultaneously by different thread blocks in order to
 increase parallelism". ``concurrent_windowed_search`` configures the
 shared :func:`repro.engine.sweep.window_sweep` at ``fanout > 1``:
-that many windows advance their breadth-first levels together on the
-*fused* launch schedule of
-:class:`repro.engine.driver.LevelDriver` -- each level's CountCliques
-/ scan / OutputNewCliques work across the whole group is charged as
-*one* merged kernel launch (shared launch overhead, higher occupancy,
+each group of that many windows runs as one lane per window of the
+one level loop of :class:`repro.engine.driver.LevelDriver`, on its
+*fused* launch schedule -- each level's CountCliques / scan /
+OutputNewCliques work across the whole group is charged as *one*
+merged kernel launch (shared launch overhead, higher occupancy,
 exactly the mechanism the paper predicts).
 
 The trade-offs the paper also predicts are preserved:
@@ -24,7 +24,9 @@ The trade-offs the paper also predicts are preserved:
 
 ``fanout=1`` degenerates to the literal sequential sweep: the same
 code path as :func:`repro.core.windowed.windowed_search`, isolated
-launches and all.
+launches and all. The early exit, adaptive splitting and
+checkpoint/resume need that sequential sweep, so the concurrent
+search offers none of them.
 """
 
 from __future__ import annotations

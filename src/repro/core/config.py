@@ -117,7 +117,7 @@ class SolverConfig:
         Concurrent-windows extension (paper Section V-C3): this many
         windows advance together with merged kernel launches. 1 (the
         default) is the paper's sequential sweep. Incompatible with
-        ``adaptive_windowing``.
+        ``adaptive_windowing`` and ``early_exit_heuristic``.
     enumerate_all:
         When true (default) enumerate every maximum clique; the
         windowed search forces this off (it finds one maximum clique,
@@ -132,7 +132,8 @@ class SolverConfig:
         literal trigger (total count = ω̄ - k + 1) is unsound -- see
         ``repro.core.bfs.bfs_search`` -- so the sound variant is
         implemented. Only valid when not enumerating all maximum
-        cliques.
+        cliques, and not with ``window_fanout > 1``: concurrent
+        windows have no early exit.
     chunk_pairs:
         Host-side vectorisation chunk (pairs per batch); affects wall
         time only, never results or model time.
@@ -225,6 +226,10 @@ class SolverConfig:
         if self.window_fanout > 1 and self.adaptive_windowing:
             raise SolverConfigError(
                 "window_fanout and adaptive_windowing are mutually exclusive"
+            )
+        if self.window_fanout > 1 and self.early_exit_heuristic:
+            raise SolverConfigError(
+                "window_fanout and early_exit_heuristic are mutually exclusive"
             )
         if self.window_size is not None and self.enumerate_all:
             # the windowed search solves for a single maximum clique

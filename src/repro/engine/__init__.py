@@ -5,10 +5,12 @@ rather than reimplements (see docs/ARCHITECTURE.md):
 
 * :mod:`~repro.engine.driver` -- :class:`LevelDriver`, the single
   implementation of the paper's count / scan / output breadth-first
-  level loop (Algorithm 2). The sequential, windowed, and
-  concurrent-fanout searches in :mod:`repro.core` are thin adapters
-  over it; :mod:`~repro.engine.sweep` adds the shared window sweep
-  (splitting, ordering, adaptive retry, checkpointing).
+  level loop (Algorithm 2), run over a list of lanes (one
+  :class:`BFSOutcome` per root) on the isolated or the fused launch
+  schedule. :mod:`~repro.engine.sweep` adds the one window sweep
+  (splitting, ordering, groups of ``fanout`` windows, adaptive retry,
+  checkpointing). The full, windowed, and concurrent-fanout searches
+  in :mod:`repro.core` are thin adapters over the two.
 * :mod:`~repro.engine.executor` -- the :class:`Executor` protocol the
   solve service drains batches through: :class:`SerialExecutor` (the
   reference order) and :class:`ThreadedExecutor` (one worker per

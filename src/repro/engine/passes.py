@@ -20,7 +20,7 @@ __all__ = [
     "pair_partners",
     "count_pass",
     "output_pass",
-    "run_boundaries_host",
+    "run_boundaries",
 ]
 
 
@@ -107,8 +107,13 @@ def output_pass(
         new_sublist[pos] = np.repeat(threads.astype(np.int32), hits)
 
 
-def run_boundaries_host(values: np.ndarray) -> np.ndarray:
-    """Run boundaries without device accounting (charged by the driver)."""
+def run_boundaries(values: np.ndarray) -> np.ndarray:
+    """Offsets (length ``num_runs + 1``) of maximal runs of equal values.
+
+    Recovers sublist boundaries from a clique-list node's ``sublistID``
+    array: each sublist is a maximal run of equal parent indices
+    (Section IV-B).
+    """
     n = values.size
     if n == 0:
         return np.zeros(1, dtype=np.int64)

@@ -2,29 +2,31 @@
 
 When the full breadth-first candidate set cannot fit in device memory,
 the 2-clique list is split into *windows* and the level loop runs on
-one window (or one ``fanout``-sized group of windows) at a time,
-solving for a single maximum clique rather than enumerating all of
-them (paper Section IV-E). Window boundaries are snapped to sublist
-ends (a candidate needs every vertex after it in its sublist), the
-best clique found so far raises ω̄ for later windows, and each
-window's clique list is freed before the next begins -- peak memory is
-set by the largest single-window (or single-group) subtree instead of
-the whole search.
+one ``fanout``-sized group of windows at a time, solving for a single
+maximum clique rather than enumerating all of them (paper Section
+IV-E). Window boundaries are snapped to sublist ends (a candidate
+needs every vertex after it in its sublist), the best clique found so
+far raises ω̄ for later groups, and each group's clique lists are
+freed before the next begins -- peak memory is set by the largest
+single-group subtree instead of the whole search.
 
-:func:`window_sweep` owns everything the two historical copies in
-``core/windowed.py`` and ``core/concurrent.py`` used to duplicate:
-window splitting and ordering, the ω̄ carry, per-window deadline
-checks, peak accounting, adaptive splitting, and checkpoint capture.
-The per-level work is delegated to
-:class:`~repro.engine.driver.LevelDriver` -- isolated launches for
-``fanout=1``, merged (fused) launches for ``fanout>1`` -- so
-``fanout=1`` follows the exact sequential schedule and the
-concurrent path is the same sweep under a different launch schedule.
+:func:`window_sweep` is one loop over the groups: window splitting
+and ordering, the ω̄ carry, per-group deadline checks, peak
+accounting, adaptive splitting, and checkpoint capture. The per-level
+work is delegated to :class:`~repro.engine.driver.LevelDriver` -- one
+lane per window of the group, isolated launches for ``fanout=1``,
+merged (fused) launches for ``fanout>1`` -- so ``fanout=1`` follows
+the exact sequential schedule and the concurrent path is the same
+sweep under a different launch schedule. The early exit, adaptive
+splits and checkpoints apply at ``fanout=1`` only. A group's level
+stats reach the outcome only once the group completes, so a window
+that runs out of memory and splits leaves none behind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -36,7 +38,7 @@ from ..core.checkpoint import SearchCheckpoint
 from ..core.config import WindowOrder
 from ..core.deadline import Deadline, as_deadline
 from ..core.result import LevelStats, WindowStats
-from .driver import BFSOutcome, LevelDriver
+from .driver import LevelDriver
 from .problems import MAX_CLIQUE, ProblemKind, merge_state
 
 __all__ = [
@@ -197,12 +199,13 @@ def window_sweep(
     """Run the windowed search over a prepared 2-clique list.
 
     Returns the single best clique found across all windows (at least
-    the heuristic clique). ``fanout=1`` sweeps windows one at a time
-    on the isolated launch schedule and supports adaptive splitting
-    and checkpoint/resume; ``fanout>1`` advances that many windows
+    the heuristic clique). The sweep takes ``fanout`` windows at a
+    time: ``fanout=1`` runs each window alone on the isolated launch
+    schedule and supports the early exit, adaptive splitting and
+    checkpoint/resume; ``fanout>1`` advances each group of windows
     together on the fused schedule (merged kernel launches, shared
-    group-start ω̄ bound -- paper Section V-C3), which supports
-    neither.
+    group-start ω̄ bound -- paper Section V-C3), which supports none
+    of them.
 
     With ``adaptive=True`` (the recursive-windowing extension), a
     window whose subtree exceeds device memory is split in half at a
@@ -225,13 +228,13 @@ def window_sweep(
         kind = MAX_CLIQUE
     if fanout < 1:
         raise ValueError("fanout must be at least 1")
-    if fanout > 1 and (adaptive or checkpoint is not None or checkpoint_sink is not None):
+    checkpointing = checkpoint is not None or checkpoint_sink is not None
+    if fanout > 1 and (adaptive or early_exit_heuristic or checkpointing):
         raise ValueError(
-            "adaptive splitting and checkpoint/resume require fanout == 1"
+            "the early exit, adaptive splitting and checkpoint/resume "
+            "require fanout == 1"
         )
-    if not kind.prunes and (
-        checkpoint is not None or checkpoint_sink is not None
-    ):
+    if not kind.prunes and checkpointing:
         # a windows-done checkpoint does not describe the kind's
         # accumulated state; resuming from one would silently drop
         # every count/clique harvested before the interruption
@@ -241,6 +244,7 @@ def window_sweep(
     if isinstance(window_size, str):
         window_size = auto_window_size(graph, device, src.size)
     ddl = as_deadline(deadline, label)
+    fused = fanout > 1
 
     src, dst = order_groups(src, dst, graph.degrees, window_order)
     driver = LevelDriver(graph, device, chunk_pairs=chunk_pairs, deadline=ddl)
@@ -251,49 +255,17 @@ def window_sweep(
         best_clique=best_clique, omega=best, state=kind.new_state()
     )
 
-    if fanout == 1:
-        _sequential_sweep(
-            driver, src, dst, omega_bar, window_size, best, best_clique,
-            outcome, ddl, early_exit_heuristic, adaptive,
-            checkpoint, checkpoint_sink, kind,
-        )
-    else:
-        _fused_sweep(
-            driver, src, dst, omega_bar, window_size, fanout, best,
-            best_clique, outcome, ddl, kind,
-        )
-    return outcome
-
-
-def _sequential_sweep(
-    driver: LevelDriver,
-    src: np.ndarray,
-    dst: np.ndarray,
-    omega_bar: int,
-    window_size: int,
-    best: int,
-    best_clique: np.ndarray,
-    outcome: WindowedOutcome,
-    ddl: Deadline,
-    early_exit_heuristic: bool,
-    adaptive: bool,
-    checkpoint: Optional[SearchCheckpoint],
-    checkpoint_sink: Optional[Callable[[SearchCheckpoint], None]],
-    kind: ProblemKind,
-) -> None:
-    device = driver.device
-
     # LIFO work list so adaptive splits are processed depth-first
     if checkpoint is not None:
         pending = list(reversed(checkpoint.pending))
-        w_index = checkpoint.windows_done - 1
+        done = checkpoint.windows_done
         total_windows = checkpoint.total_windows
         if checkpoint.omega > best:
             best = checkpoint.omega
             best_clique = np.asarray(checkpoint.best_clique, dtype=np.int32)
     else:
         pending = list(reversed(split_windows(src, window_size)))
-        w_index = -1
+        done = 0
         total_windows = len(pending)
 
     def snapshot(interrupted: Optional[Tuple[int, int]] = None) -> SearchCheckpoint:
@@ -304,126 +276,71 @@ def _sequential_sweep(
             omega=best,
             best_clique=[int(v) for v in np.asarray(best_clique).tolist()],
             pending=remaining,
-            windows_done=w_index + 1,
+            windows_done=done,
             total_windows=total_windows,
         )
 
     while pending:
-        a, b = pending.pop()
-        w_index += 1
-        ddl.check(f"window {w_index}")
+        group = [pending.pop() for _ in range(min(fanout, len(pending)))]
+        ddl.check(f"window {done}")
         device.pool.reset_peak()
         base = device.pool.in_use_bytes
-        bar = max(omega_bar, best)
+        bar = max(omega_bar, best)  # shared bound, fixed for the group
         try:
-            result: BFSOutcome = driver.run(
-                src[a:b], dst[a:b], bar,
-                early_exit_heuristic=early_exit_heuristic,
+            lanes = driver.run(
+                [(src[a:b], dst[a:b]) for a, b in group], bar,
+                fused=fused, early_exit_heuristic=early_exit_heuristic,
                 kind=kind,
             )
         except DeviceOOMError:
-            if not adaptive:
-                raise
-            halves = split_range(src, a, b)
+            halves = split_range(src, *group[0]) if adaptive else None
             if halves is None:
                 raise  # a single sublist's subtree exceeds the budget
             outcome.adaptive_splits += 1
-            w_index -= 1  # the split window was not completed
             total_windows += 1  # one window became two
             pending.extend(reversed(halves))
             continue
         except DeviceLostError as exc:
-            w_index -= 1  # the interrupted window was not completed
-            if kind.prunes:
-                exc.checkpoint = snapshot(interrupted=(a, b))
+            if not fused and kind.prunes:
+                exc.checkpoint = snapshot(interrupted=group[0])
             raise
         try:
-            if result.omega > best and result.clique_list.nodes:
-                best = result.omega
-                best_clique = result.clique_list.read_cliques(limit=1)[0]
-            merge_state(outcome.state, result.state)
-            outcome.levels.extend(result.levels)
-            outcome.candidates_stored += result.candidates_stored
-            outcome.candidates_pruned += result.candidates_pruned
-            peak = device.pool.peak_bytes - base
+            for lane in lanes:
+                if lane.omega > best and lane.clique_list.nodes:
+                    best = lane.omega
+                    best_clique = lane.clique_list.read_cliques(limit=1)[0]
+                merge_state(outcome.state, lane.state)
+                outcome.candidates_stored += lane.candidates_stored
+                outcome.candidates_pruned += lane.candidates_pruned
+                outcome.stopped_by_heuristic |= lane.stopped_by_heuristic
+            peak = device.pool.peak_bytes - base  # shared by the group
             outcome.peak_window_bytes = max(outcome.peak_window_bytes, peak)
-            outcome.windows.append(
-                WindowStats(
-                    index=w_index,
-                    start=a,
-                    end=b,
-                    peak_bytes=peak,
-                    best_clique_size=best,
-                    levels=len(result.levels),
+            for (a, b), lane in zip(group, lanes):
+                outcome.windows.append(
+                    WindowStats(
+                        index=done,
+                        start=a,
+                        end=b,
+                        peak_bytes=peak,
+                        # a fused group reports at least its bound
+                        best_clique_size=max(best, bar) if fused else best,
+                        levels=len(lane.levels),
+                    )
+                )
+                done += 1
+            # level-major, lane-minor: the merged launches' timeline
+            outcome.levels.extend(
+                sorted(
+                    (s for lane in lanes for s in lane.levels),
+                    key=attrgetter("level"),
                 )
             )
-            outcome.stopped_by_heuristic |= result.stopped_by_heuristic
         finally:
-            result.clique_list.free_all()
+            for lane in lanes:
+                lane.clique_list.free_all()
         if checkpoint_sink is not None:
             checkpoint_sink(snapshot())
 
     outcome.best_clique = np.asarray(best_clique, dtype=np.int32)
     outcome.omega = best
-
-
-def _fused_sweep(
-    driver: LevelDriver,
-    src: np.ndarray,
-    dst: np.ndarray,
-    omega_bar: int,
-    window_size: int,
-    fanout: int,
-    best: int,
-    best_clique: np.ndarray,
-    outcome: WindowedOutcome,
-    ddl: Deadline,
-    kind: ProblemKind,
-) -> None:
-    device = driver.device
-
-    def level_sink(stats: LevelStats) -> None:
-        outcome.levels.append(stats)
-        outcome.candidates_pruned += stats.pruned
-
-    windows = split_windows(src, window_size)
-    for g_start in range(0, len(windows), fanout):
-        ddl.check(f"window group {g_start // fanout}")
-        group = windows[g_start : g_start + fanout]
-        device.pool.reset_peak()
-        base = device.pool.in_use_bytes
-        bar = max(omega_bar, best)  # shared bound, fixed for the group
-        lanes = []
-        try:
-            for i, (a, b) in enumerate(group):
-                lanes.append(
-                    driver.open_lane(
-                        g_start + i, a, b, src[a:b], dst[a:b], kind=kind
-                    )
-                )
-            driver.run_fused(lanes, bar, level_sink=level_sink, kind=kind)
-            for la in lanes:
-                if la.omega > best and la.clique_list.nodes:
-                    best = la.omega
-                    best_clique = la.clique_list.read_cliques(limit=1)[0]
-                merge_state(outcome.state, la.state)
-                outcome.candidates_stored += la.clique_list.total_candidates
-            peak = device.pool.peak_bytes - base
-            outcome.peak_window_bytes = max(outcome.peak_window_bytes, peak)
-            for la in lanes:
-                outcome.windows.append(
-                    WindowStats(
-                        index=la.index,
-                        start=la.start,
-                        end=la.end,
-                        peak_bytes=peak,  # group-level peak (shared)
-                        best_clique_size=max(best, bar),
-                        levels=len(la.levels),
-                    )
-                )
-        finally:
-            for la in lanes:
-                la.clique_list.free_all()
-
-    outcome.best_clique = np.asarray(best_clique, dtype=np.int32)
-    outcome.omega = best
+    return outcome

@@ -10,7 +10,7 @@ to the full report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..core.config import RankKey, SolverConfig, SublistOrder
@@ -80,7 +80,9 @@ def _run_arms(
     result = AblationResult(name=name, arms=tuple(configs))
     for spec, graph in iter_suite(max_edges=max_edges, limit=limit):
         recs = {
-            arm: run_config(spec, graph, SolverConfig(**vars_of(cfg)), device_spec, timeout_s)
+            # a fresh copy per run: run_config writes its time limit
+            # into the config it is given
+            arm: run_config(spec, graph, replace(cfg), device_spec, timeout_s)
             for arm, cfg in configs.items()
         }
         # every completing arm must agree on the answer
@@ -88,25 +90,6 @@ def _run_arms(
         assert len(omegas) <= 1, f"{spec.name}: arms disagree: {omegas}"
         result.rows.append((spec.name, recs))
     return result
-
-
-def vars_of(config: SolverConfig) -> dict:
-    """Copyable kwargs of a config (fresh object per run)."""
-    return dict(
-        heuristic=config.heuristic,
-        heuristic_runs=config.heuristic_runs,
-        orientation_key=config.orientation_key,
-        sublist_order=config.sublist_order,
-        window_size=config.window_size,
-        window_order=config.window_order,
-        adaptive_windowing=config.adaptive_windowing,
-        window_fanout=config.window_fanout,
-        enumerate_all=config.enumerate_all,
-        coloring_preprune=config.coloring_preprune,
-        chunk_pairs=config.chunk_pairs,
-        max_cliques_report=config.max_cliques_report,
-        seed=config.seed,
-    )
 
 
 def orientation_ablation(

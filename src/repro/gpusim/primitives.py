@@ -34,7 +34,6 @@ __all__ = [
     "segmented_max",
     "segmented_argmax",
     "segmented_sum",
-    "run_boundaries",
 ]
 
 #: per-element op costs of each primitive (work-efficient implementations)
@@ -184,17 +183,3 @@ def segmented_sum(
         out[nonempty] = np.add.reduceat(values.astype(np.int64), seg_offsets[:-1][nonempty])
     return out
 
-
-def run_boundaries(device: Device, values: np.ndarray) -> np.ndarray:
-    """Offsets (length ``num_runs + 1``) of maximal runs of equal values.
-
-    Used to recover sublist boundaries from a clique-list node's
-    ``sublistID`` array: each sublist is a maximal run of equal parent
-    indices (Section IV-B).
-    """
-    device.launch(1.0, n_threads=values.size, name="run_boundaries")
-    n = values.size
-    if n == 0:
-        return np.zeros(1, dtype=np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-    return np.concatenate([starts, [n]]).astype(np.int64)

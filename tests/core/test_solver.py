@@ -180,6 +180,14 @@ class TestConfigValidation:
         c = SolverConfig(early_exit_heuristic=True, enumerate_all=False)
         assert c.early_exit_heuristic
 
+    def test_early_exit_excludes_fanout(self):
+        # concurrent windows have no early exit: the flag would change
+        # the cache key and nothing else
+        with pytest.raises(SolverConfigError):
+            SolverConfig(window_size=64, window_fanout=3, early_exit_heuristic=True)
+        c = SolverConfig(window_size=64, early_exit_heuristic=True)
+        assert c.early_exit_heuristic
+
     def test_bad_time_limit(self):
         for bad in (0, -1.5, float("nan"), float("inf"), 10**400, True):
             with pytest.raises(SolverConfigError):

@@ -6,14 +6,20 @@ thread, and the output pass expands only the live threads' tails.
 Earlier bodies gathered ``vertex[idx1]`` for every pair, counted with
 ``bincount`` and filtered the output pairs by liveness after expanding
 them all. Both forms must issue the same queries and write
-byte-identical nodes.
+byte-identical nodes. The run boundaries each thread's tail is taken
+from are checked directly.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.passes import chunk_slices, count_pass, output_pass
+from repro.engine.passes import (
+    chunk_slices,
+    count_pass,
+    output_pass,
+    run_boundaries,
+)
 from repro.graph import generators as gen
 
 
@@ -158,3 +164,27 @@ def test_output_pass_skips_pruned_threads():
     assert log.queries().shape == (2, 6)
     assert new_vertex.tolist() == [2, 3, 4, 5, 4, 5]
     assert new_sublist.tolist() == [1, 1, 1, 1, 3, 3]
+
+
+class TestRunBoundaries:
+    def test_basic_runs(self):
+        out = run_boundaries(np.array([5, 5, 7, 7, 7, 9]))
+        assert out.tolist() == [0, 2, 5, 6]
+
+    def test_empty(self):
+        assert run_boundaries(np.zeros(0, dtype=np.int32)).tolist() == [0]
+
+    def test_all_equal(self):
+        assert run_boundaries(np.full(4, 3)).tolist() == [0, 4]
+
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=50))
+    @settings(max_examples=50, deadline=None)
+    def test_boundaries_reconstruct_runs(self, values):
+        arr = np.asarray(values)
+        bounds = run_boundaries(arr)
+        # each segment is constant and differs from its neighbour
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            seg = arr[a:b]
+            assert (seg == seg[0]).all()
+            if b < arr.size:
+                assert arr[b] != seg[0]

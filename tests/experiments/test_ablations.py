@@ -1,5 +1,9 @@
 """Ablation runner tests on a tiny suite slice."""
 
+from types import SimpleNamespace
+
+from repro.core.config import SolverConfig
+from repro.experiments import ablations
 from repro.experiments.ablations import (
     coloring_preprune_ablation,
     orientation_ablation,
@@ -54,3 +58,23 @@ class TestOtherAblations:
         # concurrency is never slower in model time
         ratio = r.geomean_time_ratio("fanout-8", "fanout-1")
         assert ratio <= 1.01
+
+
+class TestArmConfigs:
+    def test_arm_reaches_run_config_unchanged(self, monkeypatch):
+        seen = []
+
+        def fake_run_config(spec, graph, config, device_spec, timeout_s):
+            seen.append(config)
+            return SimpleNamespace(ok=False, omega=0)
+
+        monkeypatch.setattr(ablations, "run_config", fake_run_config)
+        arm = SolverConfig(
+            enumerate_all=False, early_exit_heuristic=True,
+            time_limit_s=5.0, omega_floor=3,
+        )
+        ablations._run_arms("copy", {"arm": arm}, 9_000, 1, None, 60.0)
+        (config,) = seen
+        assert config == arm
+        # a copy: run_config may write its time limit into it
+        assert config is not arm

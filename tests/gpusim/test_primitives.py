@@ -166,27 +166,3 @@ class TestSegmented:
                 assert got_arg[i] == -1
                 assert got_sum[i] == 0
 
-
-class TestRunBoundaries:
-    def test_basic_runs(self, dev):
-        out = P.run_boundaries(dev, np.array([5, 5, 7, 7, 7, 9]))
-        assert out.tolist() == [0, 2, 5, 6]
-
-    def test_empty(self, dev):
-        assert P.run_boundaries(dev, np.zeros(0, dtype=np.int32)).tolist() == [0]
-
-    def test_all_equal(self, dev):
-        assert P.run_boundaries(dev, np.full(4, 3)).tolist() == [0, 4]
-
-    @given(st.lists(st.integers(0, 3), min_size=1, max_size=50))
-    @settings(max_examples=50, deadline=None)
-    def test_boundaries_reconstruct_runs(self, values):
-        dev = Device(DeviceSpec())
-        arr = np.asarray(values)
-        bounds = P.run_boundaries(dev, arr)
-        # each segment is constant and differs from its neighbour
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            seg = arr[a:b]
-            assert (seg == seg[0]).all()
-            if b < arr.size:
-                assert arr[b] != seg[0]

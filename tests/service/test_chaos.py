@@ -174,6 +174,8 @@ class TestChaosEquivalence:
         jobs = [
             (community, SolverConfig(window_size=256)),
             (planted, SolverConfig(window_size=512)),
+            # concurrent windows: the fused launch schedule
+            (community, SolverConfig(window_size=128, window_fanout=3)),
         ]
         clean, _, _ = _run(jobs, spec)
         plan = FaultPlan.from_rates(
@@ -198,6 +200,8 @@ class TestChaosEquivalence:
         assert _signatures(chaos) == _signatures(clean)
         # the plan must actually have fired, or this test proves nothing
         assert svc.summary().device_faults >= 1
+        fused = chaos[2]
+        assert fused.transient_retries + fused.migrations >= 1
 
     def test_fault_free_plan_is_invisible(self, community, spec):
         jobs = [(community, SolverConfig(window_size=256))]

@@ -6,6 +6,7 @@ counters. These tests re-run representative pipelines twice and
 compare everything except wall time.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -145,12 +146,21 @@ RECORDED_CONFIGS = {
     },
     "maximal": {"problem": "maximal-enum"},
     "maximal-windowed-64": {"problem": "maximal-enum", "window_size": 64},
+    "maximal-adaptive-2048": {
+        "problem": "maximal-enum", "window_size": 2048, "adaptive_windowing": True,
+    },
 }
 
+#: device memory of the configs not run on the default 192 MiB device;
+#: at 40,000 bytes the dense graph's maximal-enum windows run out of
+#: memory partway down their levels and split
+RECORDED_MEMORY = {"maximal-adaptive-2048": 40_000}
+
 #: (graph, config) -> (answer, kernel launches, peak bytes, model
-#: seconds) on a 192 MiB device, recorded before the search stages were
-#: folded into one call per stage; every value must survive any
-#: refactor of the solve path
+#: seconds) on a 192 MiB device (RECORDED_MEMORY names the others),
+#: recorded before the search stages were folded into one call per
+#: stage (the maximal-adaptive-2048 row with RECORDED_TRACES); every
+#: value must survive any refactor of the solve path
 RECORDED = {
     ("dense", "full"): ((6, 16), 65, 66296, 6.560044326241135e-05),
     ("dense", "windowed-64"): ((6, 1), 502, 19232, 0.0005082349290780131),
@@ -160,6 +170,7 @@ RECORDED = {
     ("dense", "kclique-4-fanout-3"): (2542, 104, 19192, 0.0001061673980496454),
     ("dense", "maximal"): ((1767, 6), 32, 92576, 3.254029255319149e-05),
     ("dense", "maximal-windowed-64"): ((1767, 6), 704, 19208, 0.0007110737810283654),
+    ("dense", "maximal-adaptive-2048"): ((1767, 6), 135, 21008, 0.00013654514627659572),
     ("sparse", "full"): ((3, 108), 33, 34672, 3.3153280141843966e-05),
     ("sparse", "windowed-64"): ((3, 1), 159, 13936, 0.00015963663563829797),
     ("sparse", "fanout-3"): ((3, 1), 82, 13936, 8.232741578014184e-05),
@@ -169,6 +180,50 @@ RECORDED = {
     ("sparse", "maximal"): ((1057, 3), 17, 24520, 1.7075997340425532e-05),
     ("sparse", "maximal-windowed-64"): ((1057, 3), 188, 14040, 0.00018865986258865254),
 }
+
+
+#: (graph, config) -> (levels, candidates stored, digest of the level
+#: stats, digest of the kernel-event sequence), recorded on the same
+#: devices before the engine's two level loops and two window sweeps
+#: were folded into one each. A window that runs out of memory and
+#: splits must leave no levels behind, and fault plans address
+#: launches by ordinal, so the order of every launch is pinned, not
+#: just the totals.
+RECORDED_TRACES = {
+    ("dense", "full"): (5, 4538, "ef88e5ce2d8882c2", "f44727126dacaa60"),
+    ("dense", "windowed-64"): (122, 4538, "d55f28a168d8d07b", "a539a099828841e7"),
+    ("dense", "fanout-3"): (122, 4538, "294211f43076e139", "372bdbf6258223c1"),
+    ("dense", "adaptive-32"): (215, 4538, "b687f7d38e6382ca", "a5423f6d442e7b38"),
+    ("dense", "kclique-4"): (3, 8754, "74f20d4f3c09bd34", "df82e4fe17f2a121"),
+    ("dense", "kclique-4-fanout-3"): (102, 8754, "48c433e3498ab12e", "71366d88a4272113"),
+    ("dense", "maximal"): (5, 9217, "be430293e1f8892a", "3d0a7c700de07cf3"),
+    ("dense", "maximal-windowed-64"): (146, 9217, "a265a313cd219403", "14201e11f28e9e8b"),
+    ("dense", "maximal-adaptive-2048"): (24, 9217, "999a819b756212ee", "8920a36b9698cbd1"),
+    ("sparse", "full"): (2, 1268, "27ab2a18dec65741", "0055bc3d6b2ed08e"),
+    ("sparse", "windowed-64"): (38, 1268, "7d9678e86ba32e8e", "14c64415b2c9ede2"),
+    ("sparse", "fanout-3"): (38, 1268, "e96eb177f0b087a4", "9722e2bca257667d"),
+    ("sparse", "adaptive-32"): (73, 1268, "14966968a2543244", "a8f4461e279303b4"),
+    ("sparse", "kclique-4"): (2, 1336, "8c4d7b2d9982d3b2", "5405086fc8d21518"),
+    ("sparse", "kclique-4-fanout-3"): (40, 1336, "599e13b61d59ae7f", "1ab5981632e90ab7"),
+    ("sparse", "maximal"): (2, 1336, "8c4d7b2d9982d3b2", "304e9fb652ec6b65"),
+    ("sparse", "maximal-windowed-64"): (40, 1336, "513f955eb9a787fe", "0590ede89785a74d"),
+}
+
+
+def _digest(rows) -> str:
+    text = "\n".join(" ".join(str(x) for x in row) for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _record_kernels(device):
+    """Collect (name, threads, useful ops) of every charged launch."""
+    events = []
+
+    def hook(name, threads, useful_ops, **_):
+        events.append((name, threads, round(useful_ops)))
+
+    device.set_trace_hook(hook)
+    return events
 
 
 def _answer(result):
@@ -194,22 +249,35 @@ class TestRecordedStatistics:
     @pytest.mark.parametrize("graph_name,config_name", sorted(RECORDED))
     def test_solve_matches_recording(self, graphs, graph_name, config_name):
         answer, launches, peak, model_time = RECORDED[graph_name, config_name]
-        device = Device(DeviceSpec(memory_bytes=192 * MIB))
+        num_levels, stored, level_digest, kernel_digest = RECORDED_TRACES[
+            graph_name, config_name
+        ]
+        memory = RECORDED_MEMORY.get(config_name, 192 * MIB)
+        device = Device(DeviceSpec(memory_bytes=memory))
+        kernels = _record_kernels(device)
         config = SolverConfig(**RECORDED_CONFIGS[config_name])
         result = MaxCliqueSolver(graphs[graph_name], config, device).solve()
         assert _answer(result) == answer
         assert result.device_stats.kernel_launches == launches
         assert result.peak_memory_bytes == peak
         assert result.model_time_s == pytest.approx(model_time, rel=1e-12)
+        levels = [(s.level, s.candidates, s.generated, s.pruned) for s in result.levels]
+        assert len(levels) == num_levels
+        assert result.candidates_stored == stored
+        assert sum(s.candidates for s in result.levels) == stored
+        assert _digest(levels) == level_digest
+        assert _digest(kernels) == kernel_digest
 
     def test_out_of_memory_matches_recording(self, graphs):
         # a 64 KiB device holds the CSR and the 2-clique list but runs
         # out partway through the maximal-enum levels
         device = Device(DeviceSpec(memory_bytes=64 * 1024))
+        kernels = _record_kernels(device)
         config = SolverConfig(problem="maximal-enum")
         with pytest.raises(DeviceOOMError):
             MaxCliqueSolver(graphs["dense"], config, device).solve()
         assert device.stats().kernel_launches == 12
+        assert _digest(kernels) == "42c5d87809c0b621"
         assert device.model_time_s == pytest.approx(
             1.2173714539007092e-05, rel=1e-12
         )
