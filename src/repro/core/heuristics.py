@@ -27,6 +27,7 @@ import numpy as np
 
 from ..gpusim import primitives as P
 from ..gpusim.device import Device
+from ..graph.build import run_positions
 from ..graph.csr import CSRGraph
 from ..graph.kcore import core_numbers
 from .config import Heuristic
@@ -152,7 +153,7 @@ def multi_run_greedy(
     seg_offsets = np.concatenate([starts, [total]]).astype(np.int64)
 
     # SetupNeighborThresholds: gather each seed's neighbours + ranks
-    gather_idx = np.repeat(graph.row_offsets[seeds], counts) + _segment_arange(counts)
+    gather_idx = run_positions(graph.row_offsets[seeds], counts)
     device.launch(counts.astype(np.float64) + 1.0, name="setup_neighbor_thresholds")
     neighbors_h = graph.col_indices[gather_idx].astype(np.int32)
     thresholds_h = ranks[neighbors_h].astype(np.int32)
@@ -219,13 +220,3 @@ def _reconstruct_chain(
         pos = np.searchsorted(seg_ids, winner)
         verts.append(int(chosen[pos]))
     return np.asarray(verts, dtype=np.int32)
-
-
-def _segment_arange(counts: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(c) for c in counts])`` without a loop."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)

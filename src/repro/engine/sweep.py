@@ -33,6 +33,7 @@ import numpy as np
 
 from ..errors import DeviceLostError, DeviceOOMError
 from ..gpusim.device import Device
+from ..graph.build import run_positions
 from ..graph.csr import CSRGraph
 from ..core.checkpoint import SearchCheckpoint
 from ..core.config import WindowOrder
@@ -148,18 +149,8 @@ def order_groups(
     # gather each group's slice in the new source order
     starts = np.zeros(degrees.size + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
-    reps = counts[sources]
-    idx = np.repeat(starts[sources], reps) + _segment_arange(reps)
+    idx = run_positions(starts[sources], counts[sources])
     return src[idx], dst[idx]
-
-
-def _segment_arange(counts: np.ndarray) -> np.ndarray:
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
 
 
 def split_range(src: np.ndarray, a: int, b: int):
@@ -322,8 +313,7 @@ def window_sweep(
                         start=a,
                         end=b,
                         peak_bytes=peak,
-                        # a fused group reports at least its bound
-                        best_clique_size=max(best, bar) if fused else best,
+                        best_clique_size=best,
                         levels=len(lane.levels),
                     )
                 )

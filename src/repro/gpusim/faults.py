@@ -28,13 +28,20 @@ pool replaces the device (see ``repro.service.pool.DevicePool``).
 Injection is zero-overhead by default: a device without an injector
 performs exactly the charges it performs today, so model times are
 bit-identical with the feature compiled in but unused.
+
+Both fault-plan formats, this module's ``repro-fault-plan/1`` and the
+wire layer's ``repro-net-fault-plan/1`` (:mod:`repro.netchaos.plan`),
+subclass :class:`BaseFaultPlan`: one class parses, checks and
+serializes them and answers :meth:`~BaseFaultPlan.event_for` at both
+injection points.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Type, Union
 
@@ -53,11 +60,11 @@ __all__ = [
     "FAULT_PLAN_SCHEMA",
     "FAULT_KINDS",
     "FaultEvent",
+    "BaseFaultPlan",
     "FaultPlan",
     "FaultInjector",
     "MAX_PLAN_DRAWS",
     "load_fault_plan",
-    "parse_plan_document",
 ]
 
 #: schema identifier stamped into serialized fault plans
@@ -116,57 +123,188 @@ class FaultEvent:
             raise FaultPlanError("device and ordinal must be non-negative")
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "device": self.device,
-            "on": self.on,
-            "ordinal": self.ordinal,
-            "kind": self.kind,
-        }
+        return asdict(self)
 
 
-class FaultPlan:
-    """A pool-wide, fully materialized fault schedule.
+class BaseFaultPlan:
+    """A fully materialized fault schedule: what both plan formats share.
 
-    Parameters
-    ----------
-    events:
-        Explicit :class:`FaultEvent` entries (or dicts with the same
-        keys). Duplicate ``(device, on, ordinal)`` entries raise.
-    seed:
-        Provenance only once materialized; kept for serialization.
+    A subclass names its ``schema``, its ``error`` class, its
+    ``event_type``, the ``noun`` its refusals call one event, and the
+    event's three ``address`` fields (a stream, a hook or direction, a
+    position on the stream), and supplies :meth:`from_rates`. This class
+    parses explicit events (instances or dicts of their fields) and
+    refuses two at one address, answers :meth:`event_for` at both
+    injection points, checks rates and documents, and serializes.
 
-    Build one from failure *rates* with :meth:`from_rates` -- the
-    randomness happens there, once, so two services given the same
-    plan inject byte-identical fault sequences.
+    Build a plan from failure *rates* with :meth:`from_rates` -- the
+    randomness happens there, once, so two runs given the same plan
+    inject byte-identical fault sequences. ``seed`` is provenance once
+    materialized, kept for serialization.
     """
 
-    def __init__(
-        self,
-        events: Iterable[Union[FaultEvent, Dict[str, Any]]] = (),
-        seed: int = 0,
-    ) -> None:
+    schema: str
+    error: Type[ReproError]
+    event_type: type
+    noun: str
+    address: Tuple[str, str, str]
+    #: the document's lists of objects; each after ``events`` is also a
+    #: keyword of the constructor
+    lists: Tuple[str, ...] = ("events",)
+    #: draw streams per stream :meth:`from_rates` counts (a wire plan
+    #: draws both directions of each connection)
+    ways = 1
+
+    def __init__(self, events: Iterable[Any] = (), seed: int = 0) -> None:
         self.seed = int(seed)
-        self.events: List[FaultEvent] = []
-        seen: set = set()
+        self.events: List[Any] = []
+        self._index: Dict[Tuple[Any, ...], Any] = {}
         for e in events:
-            if isinstance(e, dict):
-                try:
-                    e = FaultEvent(**e)
-                except TypeError as exc:
-                    raise FaultPlanError(f"bad fault event {e!r}: {exc}")
-            key = (e.device, e.on, e.ordinal)
-            if key in seen:
-                raise FaultPlanError(
-                    f"duplicate fault event at device {e.device} "
-                    f"{e.on} ordinal {e.ordinal}"
+            e = self._entry(self.event_type, e, self.noun)
+            key = tuple(getattr(e, name) for name in self.address)
+            if key in self._index:
+                stream, _, position = self.address
+                raise self.error(
+                    f"duplicate {self.noun} at {stream} {key[0]} "
+                    f"{key[1]} {position} {key[2]}"
                 )
-            seen.add(key)
+            self._index[key] = e
             self.events.append(e)
+
+    def _entry(self, kind: type, entry: Any, noun: str) -> Any:
+        """``entry`` as a ``kind``, built from its fields if it is a dict."""
+        if not isinstance(entry, dict):
+            return entry
+        try:
+            return kind(**entry)
+        except TypeError as exc:
+            raise self.error(f"bad {noun} {entry!r}: {exc}")
 
     def __len__(self) -> int:
         return len(self.events)
 
+    def event_for(self, *address: Any) -> Optional[Any]:
+        """The planned event at one address (its ``address`` field values), or None."""
+        return self._index.get(address)
+
+    @classmethod
+    def _check_rates(
+        cls, streams: Tuple[str, int], length: Tuple[str, int], **rates: float
+    ) -> None:
+        """Refuse what :meth:`from_rates` cannot draw.
+
+        ``streams`` and ``length`` name and give its two counts: at
+        least one stream, a non-negative length, and at most
+        :data:`MAX_PLAN_DRAWS` draws (``ways`` per stream counted);
+        every rate must lie in [0, 1].
+        """
+        (streams_name, count), (length_name, size) = streams, length
+        if count < 1:
+            raise cls.error(f"{streams_name} must be at least 1")
+        if size < 0:
+            raise cls.error(f"{length_name} must be non-negative")
+        draws = cls.ways * count * size
+        if draws > MAX_PLAN_DRAWS:
+            ways = f"{cls.ways} x " if cls.ways > 1 else ""
+            raise cls.error(
+                f"{ways}{streams_name} x {length_name} is {draws} draws, "
+                f"past the cap of {MAX_PLAN_DRAWS}"
+            )
+        for name, rate in rates.items():
+            if not 0.0 <= rate <= 1.0:
+                raise cls.error(f"{name} rate must be in [0, 1]")
+
     # ------------------------------------------------------------------
+    # serialization
+    # ------------------------------------------------------------------
+    def to_dict(self) -> Dict[str, Any]:
+        out: Dict[str, Any] = {"schema": self.schema, "seed": self.seed}
+        for name in self.lists:
+            out[name] = [entry.to_dict() for entry in getattr(self, name)]
+        return out
+
+    def save(self, path: Union[str, Path]) -> None:
+        Path(path).write_text(
+            json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8"
+        )
+
+    @classmethod
+    def from_dict(cls, payload: Any, source: str = "<plan>") -> Any:
+        """Parse a serialized plan (explicit events and/or seeded rates).
+
+        A plan is an object with an optional ``schema`` (which must be
+        the class's), a non-negative integer ``seed``, the ``lists`` --
+        each of objects -- and an optional ``rates`` object mapping
+        :meth:`from_rates` keywords to finite numbers, integers where
+        the keyword's default is one. The rates are materialized and
+        merged with the explicit events. Every refusal raises ``error``
+        prefixed with ``source``.
+        """
+        def refuse(message: str) -> ReproError:
+            return cls.error(f"{source}: {message}")
+
+        if not isinstance(payload, dict):
+            raise refuse("expected an object at top level")
+        unknown = set(payload) - {"schema", "seed", "rates", *cls.lists}
+        if unknown:
+            raise refuse(f"unknown key(s) {sorted(unknown)}")
+        found = payload.get("schema", cls.schema)
+        if found != cls.schema:
+            raise refuse(f"unsupported schema {found!r} (expected {cls.schema!r})")
+        seed = payload.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise refuse("'seed' must be a non-negative integer")
+        lists = {}
+        for name in cls.lists:
+            lists[name] = payload.get(name, [])
+            if not isinstance(lists[name], list):
+                raise refuse(f"{name!r} must be a list")
+            if not all(isinstance(e, dict) for e in lists[name]):
+                raise refuse(f"{name} must be objects")
+        events = lists.pop("events")
+        rates = payload.get("rates")
+        if rates is not None:
+            if not isinstance(rates, dict):
+                raise refuse("'rates' must be an object")
+            defaults = {
+                name: p.default
+                for name, p in inspect.signature(cls.from_rates).parameters.items()
+                if isinstance(p.default, (int, float))
+            }
+            bad = set(rates) - set(defaults)
+            if bad:
+                raise refuse(f"unknown rates key(s) {sorted(bad)}")
+            for key, value in rates.items():
+                number = isinstance(value, (int, float)) and not isinstance(value, bool)
+                if not (number and -math.inf < value < math.inf):
+                    raise refuse(f"rates {key!r} must be a finite number")
+                if isinstance(defaults[key], int) and not isinstance(value, int):
+                    raise refuse(f"rates {key!r} must be an integer")
+            rates = {
+                key: value if isinstance(defaults[key], int) else float(value)
+                for key, value in rates.items()
+            }
+        try:
+            if rates is not None:
+                events = events + cls.from_rates(seed, **rates).events
+            return cls(events, seed=seed, **lists)
+        except cls.error as exc:
+            raise refuse(str(exc)) from exc
+
+
+class FaultPlan(BaseFaultPlan):
+    """A pool-wide, fully materialized device fault schedule.
+
+    Events are :class:`FaultEvent` entries (or dicts with the same
+    keys) at ``(device, on, ordinal)`` addresses, one per address.
+    """
+
+    schema = FAULT_PLAN_SCHEMA
+    error = FaultPlanError
+    event_type = FaultEvent
+    noun = "fault event"
+    address = ("device", "on", "ordinal")
+
     @classmethod
     def from_rates(
         cls,
@@ -185,22 +323,11 @@ class FaultPlan:
         device never reshuffles the others). Ordinals past the horizon
         never fault. More than :data:`MAX_PLAN_DRAWS` draws are refused.
         """
-        if devices < 1:
-            raise FaultPlanError("devices must be at least 1")
-        if horizon < 0:
-            raise FaultPlanError("horizon must be non-negative")
-        if devices * horizon > MAX_PLAN_DRAWS:
-            raise FaultPlanError(
-                f"devices x horizon is {devices * horizon} draws, "
-                f"past the cap of {MAX_PLAN_DRAWS}"
-            )
-        for name, rate in (
-            ("transient_kernel", transient_kernel),
-            ("device_lost", device_lost),
-            ("flaky_alloc", flaky_alloc),
-        ):
-            if not 0.0 <= rate <= 1.0:
-                raise FaultPlanError(f"{name} rate must be in [0, 1]")
+        cls._check_rates(
+            ("devices", devices), ("horizon", horizon),
+            transient_kernel=transient_kernel, device_lost=device_lost,
+            flaky_alloc=flaky_alloc,
+        )
         events: List[FaultEvent] = []
         for d in range(devices):
             rng = np.random.default_rng([int(seed), d])
@@ -223,64 +350,11 @@ class FaultPlan:
                 )
         return cls(events, seed=seed)
 
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": FAULT_PLAN_SCHEMA,
-            "seed": self.seed,
-            "events": [e.to_dict() for e in self.events],
-        }
-
-    def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any], source: str = "<plan>") -> "FaultPlan":
-        """Parse a serialized plan (explicit events and/or seeded rates).
-
-        Accepted keys: ``schema`` (must match), ``seed``, ``events``
-        (explicit list), and ``rates`` -- an object with
-        ``transient_kernel`` / ``device_lost`` / ``flaky_alloc`` plus
-        optional ``devices`` / ``horizon`` -- which is materialized via
-        :meth:`from_rates` and merged with the explicit events.
-        """
-        seed, lists, rates = parse_plan_document(
-            payload, source, FaultPlanError, FAULT_PLAN_SCHEMA, ("events",),
-            ("transient_kernel", "device_lost", "flaky_alloc", "devices", "horizon"),
-            counts=("devices", "horizon"),
-        )
-        merged: List[Union[FaultEvent, Dict[str, Any]]] = list(lists["events"])
-        try:
-            if rates is not None:
-                generated = cls.from_rates(
-                    seed,
-                    devices=rates.get("devices", 1),
-                    horizon=rates.get("horizon", 100_000),
-                    transient_kernel=float(rates.get("transient_kernel", 0.0)),
-                    device_lost=float(rates.get("device_lost", 0.0)),
-                    flaky_alloc=float(rates.get("flaky_alloc", 0.0)),
-                )
-                merged.extend(generated.events)
-            return cls(merged, seed=seed)
-        except FaultPlanError as exc:
-            raise FaultPlanError(f"{source}: {exc}") from exc
-
-    # ------------------------------------------------------------------
     def injector_for(self, device_index: int) -> Optional["FaultInjector"]:
         """An injector for one pool device, or None when it has no events."""
-        launch: Dict[int, str] = {}
-        alloc: Dict[int, str] = {}
-        for e in self.events:
-            if e.device != device_index:
-                continue
-            (launch if e.on == HOOK_LAUNCH else alloc)[e.ordinal] = e.kind
-        if not launch and not alloc:
+        if not any(e.device == device_index for e in self.events):
             return None
-        return FaultInjector(launch, alloc)
+        return FaultInjector(self, device_index)
 
 
 class FaultInjector:
@@ -288,101 +362,40 @@ class FaultInjector:
 
     Keeps its own launch/alloc ordinal counters (they advance only
     while the injector is installed, matching a plan aimed at the
-    device's trace from ordinal 0) and a tally of injected faults per
-    kind. Ordinals survive device replacement: the pool re-installs the
-    same injector on the replacement device, so a plan's later events
-    still land.
+    device's trace from ordinal 0), looks each ordinal up in its plan,
+    and tallies injected faults per kind. Ordinals survive device
+    replacement: the pool re-installs the same injector on the
+    replacement device, so a plan's later events still land.
     """
 
-    def __init__(
-        self,
-        launch_faults: Dict[int, str],
-        alloc_faults: Dict[int, str],
-    ) -> None:
-        self._launch_faults = dict(launch_faults)
-        self._alloc_faults = dict(alloc_faults)
-        self._launch_ordinal = 0
-        self._alloc_ordinal = 0
+    def __init__(self, plan: FaultPlan, device_index: int) -> None:
+        self._plan = plan
+        self._device_index = device_index
+        self._ordinals = {HOOK_LAUNCH: 0, HOOK_ALLOC: 0}
         self.injected: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
 
-    def _fire(self, device: "Any", kind: str, where: str) -> None:
-        self.injected[kind] += 1
-        if kind == KIND_DEVICE_LOST:
+    def _step(self, device: "Any", on: str) -> None:
+        ordinal = self._ordinals[on]
+        self._ordinals[on] += 1
+        event = self._plan.event_for(self._device_index, on, ordinal)
+        if event is None:
+            return
+        self.injected[event.kind] += 1
+        where = f"{on} ordinal {ordinal}"
+        if event.kind == KIND_DEVICE_LOST:
             device.mark_lost()
             raise DeviceLostError(f"injected device loss at {where}")
-        if kind == KIND_TRANSIENT_KERNEL:
+        if event.kind == KIND_TRANSIENT_KERNEL:
             raise TransientKernelError(f"injected transient fault at {where}")
         raise FlakyAllocError(f"injected flaky allocation at {where}")
 
     def on_launch(self, device: "Any") -> None:
         """Called by the device before charging each non-empty launch."""
-        ordinal = self._launch_ordinal
-        self._launch_ordinal += 1
-        kind = self._launch_faults.get(ordinal)
-        if kind is not None:
-            self._fire(device, kind, f"launch ordinal {ordinal}")
+        self._step(device, HOOK_LAUNCH)
 
     def on_alloc(self, device: "Any") -> None:
         """Called by the device before reserving each allocation."""
-        ordinal = self._alloc_ordinal
-        self._alloc_ordinal += 1
-        kind = self._alloc_faults.get(ordinal)
-        if kind is not None:
-            self._fire(device, kind, f"alloc ordinal {ordinal}")
-
-
-def parse_plan_document(
-    payload: Any,
-    source: str,
-    error: Type[ReproError],
-    schema: str,
-    lists: Tuple[str, ...],
-    rate_keys: Tuple[str, ...],
-    counts: Tuple[str, ...] = (),
-) -> Tuple[int, Dict[str, List[Dict[str, Any]]], Optional[Dict[str, Any]]]:
-    """Check the shape every fault-plan document shares.
-
-    A plan is an object with an optional ``schema`` (which must equal
-    ``schema``), a non-negative integer ``seed``, the lists named in
-    ``lists`` -- each of objects -- and an optional ``rates`` object
-    mapping keys of ``rate_keys`` to finite numbers, integers for the
-    keys in ``counts``. Anything else raises ``error``. Returns
-    ``(seed, {list name: entries}, rates)``.
-    """
-    if not isinstance(payload, dict):
-        raise error(f"{source}: expected an object at top level")
-    unknown = set(payload) - {"schema", "seed", "rates", *lists}
-    if unknown:
-        raise error(f"{source}: unknown key(s) {sorted(unknown)}")
-    found = payload.get("schema", schema)
-    if found != schema:
-        raise error(
-            f"{source}: unsupported schema {found!r} (expected {schema!r})"
-        )
-    seed = payload.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise error(f"{source}: 'seed' must be a non-negative integer")
-    entries = {}
-    for name in lists:
-        entries[name] = payload.get(name, [])
-        if not isinstance(entries[name], list):
-            raise error(f"{source}: {name!r} must be a list")
-        if not all(isinstance(e, dict) for e in entries[name]):
-            raise error(f"{source}: {name} must be objects")
-    rates = payload.get("rates")
-    if rates is not None:
-        if not isinstance(rates, dict):
-            raise error(f"{source}: 'rates' must be an object")
-        bad = set(rates) - set(rate_keys)
-        if bad:
-            raise error(f"{source}: unknown rates key(s) {sorted(bad)}")
-        for key, value in rates.items():
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and -math.inf < value < math.inf):
-                raise error(f"{source}: rates {key!r} must be a finite number")
-            if key in counts and not isinstance(value, int):
-                raise error(f"{source}: rates {key!r} must be an integer")
-    return seed, entries, rates
+        self._step(device, HOOK_ALLOC)
 
 
 def load_fault_plan(path: Union[str, Path]) -> FaultPlan:

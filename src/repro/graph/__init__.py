@@ -9,6 +9,7 @@ from .build import (
     from_edge_list,
     induced_subgraph,
     relabel_random,
+    run_positions,
 )
 from .coloring import (
     coloring_upper_bound,
@@ -38,6 +39,7 @@ __all__ = [
     "from_adjacency",
     "relabel_random",
     "induced_subgraph",
+    "run_positions",
     "load_graph",
     "parse_edge_list_text",
     "read_edge_list",

@@ -207,6 +207,19 @@ def splice_edges(
     return CSRGraph(row_offsets, cols, validate=False, edge_keys=keys)
 
 
+def run_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat int64 positions of the runs ``[starts[i], starts[i] + counts[i])``.
+
+    ``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``
+    without a loop: one ``arange`` shifted by each run's start minus
+    its offset in the output.
+    """
+    ends = np.cumsum(counts, dtype=np.int64)
+    total = int(ends[-1]) if ends.size else 0
+    shift = np.repeat(starts - (ends - counts), counts)
+    return np.arange(total, dtype=np.int64) + shift
+
+
 def induced_subgraph(
     graph: CSRGraph, vertices: np.ndarray
 ) -> Tuple[CSRGraph, np.ndarray]:
@@ -231,10 +244,7 @@ def induced_subgraph(
     local[vertices] = np.arange(k, dtype=np.int32)
     starts = graph.row_offsets[vertices]
     lengths = graph.row_offsets[vertices + 1] - starts
-    # flat positions of the gathered rows: each row's run of columns
-    first = np.cumsum(lengths) - lengths
-    at = np.arange(int(lengths.sum())) + np.repeat(starts - first, lengths)
-    cols = local[graph.col_indices[at]]
+    cols = local[graph.col_indices[run_positions(starts, lengths)]]
     keep = cols >= 0
     rows = np.repeat(np.arange(k), lengths)[keep]
     row_offsets = np.zeros(k + 1, dtype=np.int64)

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ..gpusim.device import Device
+from .build import run_positions
 from .csr import CSRGraph
 
 __all__ = ["core_numbers", "degeneracy", "kcore_subgraph_vertices"]
@@ -58,21 +59,10 @@ def core_numbers(graph: CSRGraph, device: Optional[Device] = None) -> np.ndarray
             total = int(counts.sum())
             if total:
                 starts = graph.row_offsets[peel]
-                idx = np.repeat(starts, counts) + _segment_arange(counts)
-                nbrs = graph.col_indices[idx]
+                nbrs = graph.col_indices[run_positions(starts, counts)]
                 dec = np.bincount(nbrs[alive[nbrs]], minlength=n)
                 deg -= dec
     return core
-
-
-def _segment_arange(counts: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(c) for c in counts])`` without a loop."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
 
 
 def degeneracy(graph: CSRGraph, device: Optional[Device] = None) -> int:

@@ -44,20 +44,21 @@ from one backend for a bounded time.
 substreams (``np.random.default_rng([seed, conn, dir])``), so adding a
 connection or a direction never reshuffles the faults of the others --
 exactly the substream convention ``repro-fault-plan/1`` uses per
-device.
+device. Both plans share one class,
+:class:`~repro.gpusim.faults.BaseFaultPlan`: its event parsing, document
+and rate checks, serialization and :meth:`~NetFaultPlan.event_for`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
 from ..errors import NetFaultPlanError, read_json
-from ..gpusim.faults import MAX_PLAN_DRAWS, parse_plan_document
+from ..gpusim.faults import BaseFaultPlan
 
 __all__ = [
     "NET_FAULT_PLAN_SCHEMA",
@@ -175,25 +176,22 @@ class Partition:
         return {"start_s": self.start_s, "duration_s": self.duration_s}
 
 
-class NetFaultPlan:
+class NetFaultPlan(BaseFaultPlan):
     """A fully materialized wire-fault schedule for one chaos proxy.
 
-    Parameters
-    ----------
-    events:
-        Explicit :class:`NetFaultEvent` entries (or dicts with the same
-        keys). Duplicate ``(conn, direction, frame)`` addresses raise
-        -- one frame suffers at most one fault.
-    partitions:
-        Timed :class:`Partition` windows (or ``{start_s, duration_s}``
-        dicts).
-    seed:
-        Provenance once materialized; kept for serialization.
-
-    Build one from failure *rates* with :meth:`from_rates` -- the
-    randomness happens there, once, so two proxies given the same plan
-    damage the byte stream identically.
+    Events are :class:`NetFaultEvent` entries (or dicts with the same
+    keys) at ``(conn, direction, frame)`` addresses -- one frame
+    suffers at most one fault. ``partitions`` are timed
+    :class:`Partition` windows (or ``{start_s, duration_s}`` dicts).
     """
+
+    schema = NET_FAULT_PLAN_SCHEMA
+    error = NetFaultPlanError
+    event_type = NetFaultEvent
+    noun = "net fault event"
+    address = ("conn", "direction", "frame")
+    lists = ("events", "partitions")
+    ways = len(DIRECTIONS)
 
     def __init__(
         self,
@@ -201,44 +199,11 @@ class NetFaultPlan:
         partitions: Iterable[Union[Partition, Dict[str, Any]]] = (),
         seed: int = 0,
     ) -> None:
-        self.seed = int(seed)
-        self.events: List[NetFaultEvent] = []
-        self.partitions: List[Partition] = []
-        seen: set = set()
-        for e in events:
-            if isinstance(e, dict):
-                try:
-                    e = NetFaultEvent(**e)
-                except TypeError as exc:
-                    raise NetFaultPlanError(f"bad net fault event {e!r}: {exc}")
-            key = (e.conn, e.direction, e.frame)
-            if key in seen:
-                raise NetFaultPlanError(
-                    f"duplicate net fault event at conn {e.conn} "
-                    f"{e.direction} frame {e.frame}"
-                )
-            seen.add(key)
-            self.events.append(e)
-        for p in partitions:
-            if isinstance(p, dict):
-                try:
-                    p = Partition(**p)
-                except TypeError as exc:
-                    raise NetFaultPlanError(f"bad partition {p!r}: {exc}")
-            self.partitions.append(p)
-        self.partitions.sort(key=lambda p: p.start_s)
-        self._index: Dict[Tuple[int, str, int], NetFaultEvent] = {
-            (e.conn, e.direction, e.frame): e for e in self.events
-        }
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def event_for(
-        self, conn: int, direction: str, frame: int
-    ) -> Optional[NetFaultEvent]:
-        """The planned fault for one frame of one stream, or None."""
-        return self._index.get((conn, direction, frame))
+        super().__init__(events, seed)
+        self.partitions: List[Partition] = sorted(
+            (self._entry(Partition, p, "partition") for p in partitions),
+            key=lambda p: p.start_s,
+        )
 
     def partition_at(self, elapsed_s: float) -> Optional[Partition]:
         """The partition window covering ``elapsed_s``, or None."""
@@ -277,21 +242,10 @@ class NetFaultPlan:
         faulted. More than :data:`~repro.gpusim.faults.MAX_PLAN_DRAWS`
         draws are refused.
         """
-        if conns < 1:
-            raise NetFaultPlanError("conns must be at least 1")
-        if frames < 0:
-            raise NetFaultPlanError("frames must be non-negative")
-        if 2 * conns * frames > MAX_PLAN_DRAWS:
-            raise NetFaultPlanError(
-                f"2 x conns x frames is {2 * conns * frames} draws, "
-                f"past the cap of {MAX_PLAN_DRAWS}"
-            )
-        for name, rate in (
-            ("delay", delay), ("stall", stall), ("duplicate", duplicate),
-            ("truncate", truncate), ("cut", cut),
-        ):
-            if not 0.0 <= rate <= 1.0:
-                raise NetFaultPlanError(f"{name} rate must be in [0, 1]")
+        cls._check_rates(
+            ("conns", conns), ("frames", frames), delay=delay, stall=stall,
+            duplicate=duplicate, truncate=truncate, cut=cut,
+        )
         if not delay_s > 0.0:
             raise NetFaultPlanError("delay_s must be positive")
         events: List[NetFaultEvent] = []
@@ -333,59 +287,6 @@ class NetFaultPlan:
                             )
                         )
         return cls(events, partitions=partitions, seed=seed)
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": NET_FAULT_PLAN_SCHEMA,
-            "seed": self.seed,
-            "events": [e.to_dict() for e in self.events],
-            "partitions": [p.to_dict() for p in self.partitions],
-        }
-
-    def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
-
-    @classmethod
-    def from_dict(
-        cls, payload: Dict[str, Any], source: str = "<plan>"
-    ) -> "NetFaultPlan":
-        """Parse a serialized plan (explicit events and/or seeded rates).
-
-        Accepted keys: ``schema`` (must match), ``seed``, ``events``,
-        ``partitions``, and ``rates`` -- an object with the
-        :meth:`from_rates` keyword arguments (minus ``partitions``)
-        which is materialized and merged with the explicit events.
-        """
-        seed, lists, rates = parse_plan_document(
-            payload, source, NetFaultPlanError, NET_FAULT_PLAN_SCHEMA,
-            ("events", "partitions"),
-            ("conns", "frames", "delay", "stall", "duplicate", "truncate",
-             "cut", "delay_s"),
-            counts=("conns", "frames"),
-        )
-        merged: List[Union[NetFaultEvent, Dict[str, Any]]] = list(lists["events"])
-        try:
-            if rates is not None:
-                generated = cls.from_rates(
-                    seed,
-                    conns=rates.get("conns", 4),
-                    frames=rates.get("frames", 1024),
-                    delay=float(rates.get("delay", 0.0)),
-                    stall=float(rates.get("stall", 0.0)),
-                    duplicate=float(rates.get("duplicate", 0.0)),
-                    truncate=float(rates.get("truncate", 0.0)),
-                    cut=float(rates.get("cut", 0.0)),
-                    delay_s=float(rates.get("delay_s", 0.02)),
-                )
-                merged.extend(generated.events)
-            return cls(merged, partitions=lists["partitions"], seed=seed)
-        except NetFaultPlanError as exc:
-            raise NetFaultPlanError(f"{source}: {exc}") from exc
 
 
 def load_net_fault_plan(path: Union[str, Path]) -> NetFaultPlan:

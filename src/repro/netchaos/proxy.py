@@ -27,6 +27,7 @@ from typing import Dict, Optional, Tuple
 from ..log import get_logger
 from ..server import protocol
 from ..server.endpoint import EndpointThread, Listener
+from ..trace import CounterTracer
 from .plan import (
     KIND_DELAY,
     KIND_DUPLICATE,
@@ -103,14 +104,15 @@ class ChaosProxy(Listener):
         self.host = host
         self.listen_port = port
         self.max_frame_bytes = max_frame_bytes
-        #: injected-fault and traffic tally (``injected.<kind>``, ...)
-        self.counters: Dict[str, int] = {}
+        self._tally = CounterTracer()
         self._t0: float = 0.0
         self._watchdog: Optional[asyncio.Task] = None
         self._next_conn = 0
 
-    def _inc(self, name: str, value: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + value
+    @property
+    def counters(self) -> Dict[str, int]:
+        """Injected-fault and traffic tally (``injected.<kind>``, ...)."""
+        return self._tally.counters
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -156,8 +158,8 @@ class ChaosProxy(Listener):
                 if not conn.closed:
                     conn.abort()
                     dropped += 1
-            self._inc("partitions.opened")
-            self._inc("partitions.dropped_conns", dropped)
+            self._tally.counter("partitions.opened")
+            self._tally.counter("partitions.dropped_conns", dropped)
             log.info(
                 "partition open for %.2fs (%d conn(s) severed)",
                 p.duration_s, dropped,
@@ -174,11 +176,11 @@ class ChaosProxy(Listener):
     ) -> None:
         ordinal = self._next_conn
         self._next_conn += 1
-        self._inc("conns.total")
+        self._tally.counter("conns.total")
         conn = _ProxyConn(ordinal)
         conn.writers.append(cwriter)
         if self._partitioned():
-            self._inc("partitions.refused_conns")
+            self._tally.counter("partitions.refused_conns")
             conn.abort()
             return
         try:
@@ -186,7 +188,7 @@ class ChaosProxy(Listener):
                 *self.upstream, limit=self.max_frame_bytes
             )
         except OSError:
-            self._inc("conns.upstream_refused")
+            self._tally.counter("conns.upstream_refused")
             conn.abort()
             return
         conn.writers.append(uwriter)
@@ -216,7 +218,7 @@ class ChaosProxy(Listener):
                 except ValueError:
                     # oversized frame relative to our own limit; the
                     # plan cannot address it -- sever, like a cut
-                    self._inc("conns.oversized")
+                    self._tally.counter("conns.oversized")
                     conn.abort()
                     return
                 if not line:
@@ -226,18 +228,18 @@ class ChaosProxy(Listener):
                             writer.write_eof()
                     return
                 if self._partitioned():
-                    self._inc("partitions.dropped_frames")
+                    self._tally.counter("partitions.dropped_frames")
                     conn.abort()
                     return
                 event = self.plan.event_for(conn.ordinal, direction, frame_idx)
                 frame_idx += 1
-                self._inc(f"frames.{direction}")
+                self._tally.counter(f"frames.{direction}")
                 if event is None:
                     writer.write(line)
                     await writer.drain()
                     continue
-                self._inc(f"injected.{event.kind}")
-                self._inc("injected.total")
+                self._tally.counter(f"injected.{event.kind}")
+                self._tally.counter("injected.total")
                 log.debug(
                     "conn %d %s frame %d: injecting %s",
                     conn.ordinal, direction, frame_idx - 1, event.kind,
@@ -301,7 +303,7 @@ class ChaosProxyThread(EndpointThread):
 
     @property
     def counters(self) -> Dict[str, int]:
-        return dict(self.proxy.counters)
+        return self.proxy.counters
 
     def stop(self, timeout_s: float = 10.0) -> None:
         super().stop(timeout_s)

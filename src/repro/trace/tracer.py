@@ -184,16 +184,26 @@ class CounterTracer(Tracer):
         with self._lock:
             return dict(self._counters)
 
+    @property
+    def counters(self) -> Dict[str, int]:
+        """A copy of every accumulated counter."""
+        return self.counters_snapshot()
 
-class JsonTracer(Tracer):
-    """Recording tracer with JSON and Chrome-trace exports."""
+
+class JsonTracer(CounterTracer):
+    """Recording tracer with JSON and Chrome-trace exports.
+
+    Keeps :class:`CounterTracer`'s counter map beside its spans and
+    kernel events, and sets ``enabled``, so instrumented code builds
+    its event payloads.
+    """
 
     enabled = True
 
     def __init__(self) -> None:
+        super().__init__()
         self.spans: List[SpanRecord] = []
         self.kernels: List[KernelEventRecord] = []
-        self.counters: Dict[str, int] = {}
         self._stack: List[SpanRecord] = []
 
     # ------------------------------------------------------------------
@@ -250,12 +260,6 @@ class JsonTracer(Tracer):
             )
         )
 
-    def counter(self, name: str, value: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + int(value)
-
-    def counters_snapshot(self) -> Dict[str, int]:
-        return dict(self.counters)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -283,7 +287,7 @@ class JsonTracer(Tracer):
             "schema": TRACE_SCHEMA,
             "spans": [s.to_dict() for s in self.spans],
             "kernels": [k.to_dict() for k in self.kernels],
-            "counters": dict(self.counters),
+            "counters": self.counters_snapshot(),
         }
 
     def to_json(self, indent: int = 2) -> str:

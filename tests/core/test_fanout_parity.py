@@ -13,7 +13,7 @@ all. Checked across the dataset suite plus targeted generator shapes.
 import numpy as np
 import pytest
 
-from repro import Device, DeviceSpec
+from repro import Device, DeviceSpec, MaxCliqueSolver, SolverConfig
 from repro.core.concurrent import concurrent_windowed_search
 from repro.core.config import Heuristic
 from repro.core.heuristics import run_heuristic
@@ -21,6 +21,7 @@ from repro.core.setup import build_two_clique_list
 from repro.core.windowed import windowed_search
 from repro.datasets import iter_suite
 from repro.graph import generators as gen
+from tests.test_determinism import RECORDED_GRAPHS
 
 MIB = 1 << 20
 
@@ -122,3 +123,22 @@ class TestFanoutOneParity:
             window_size=32,
             window_order=WindowOrder.DESC_DEGREE,
         )
+
+
+class TestFusedWindowStats:
+    def test_fused_windows_report_the_best_clique_found(self):
+        # omega_floor 8 sits above omega (6) of the recorded dense graph:
+        # no window finds a clique, so each reports the heuristic's 6,
+        # never the group's pruning bound of 8
+        graph = RECORDED_GRAPHS["dense"]()
+
+        def window_sizes(fanout):
+            config = SolverConfig(window_size=64, window_fanout=fanout, omega_floor=8)
+            device = Device(DeviceSpec(memory_bytes=192 * MIB))
+            result = MaxCliqueSolver(graph, config, device).solve()
+            assert result.clique_number == 6
+            return [w.best_clique_size for w in result.windows]
+
+        isolated = window_sizes(1)
+        assert len(isolated) == 29 and set(isolated) == {6}
+        assert window_sizes(3) == isolated
