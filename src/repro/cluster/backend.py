@@ -26,7 +26,7 @@ import contextlib
 from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple
 
-from ..errors import ProtocolError
+from ..errors import ProtocolError, ServerError
 from ..log import get_logger
 from ..server import protocol
 
@@ -116,42 +116,19 @@ class BackendLink:
                 f"backend {self.name} unreachable: {exc}"
             ) from exc
         try:
-            writer.write(
-                protocol.encode_frame(
-                    {
-                        "type": "hello",
-                        "protocol": protocol.PROTOCOL,
-                        "client": "repro-router",
-                    }
-                )
-            )
+            writer.write(protocol.encode_frame(protocol.client_hello("repro-router")))
             await writer.drain()
             line = await asyncio.wait_for(reader.readline(), timeout_s)
             if not line:
                 raise BackendLostError(
                     f"backend {self.name} closed during handshake"
                 )
-            hello = protocol.decode_frame(line)
-        except (OSError, asyncio.TimeoutError, ProtocolError) as exc:
+            hello = protocol.check_hello(protocol.decode_frame(line))
+        except (OSError, asyncio.TimeoutError, ProtocolError, ServerError) as exc:
             writer.close()
             raise BackendLostError(
                 f"backend {self.name} handshake failed: {exc}"
             ) from exc
-        if hello.get("type") == "error":
-            writer.close()
-            raise BackendLostError(
-                f"backend {self.name} refused the handshake: "
-                f"{hello.get('code')}: {hello.get('message')}"
-            )
-        if (
-            hello.get("type") != "hello"
-            or hello.get("protocol") != protocol.PROTOCOL
-        ):
-            writer.close()
-            raise BackendLostError(
-                f"backend {self.name} spoke "
-                f"{hello.get('protocol')!r}, not {protocol.PROTOCOL}"
-            )
         return reader, writer, hello
 
     async def close(self) -> None:

@@ -63,6 +63,10 @@ DEFAULT_ROUTER_PORT = 7431
 #: most ``session_lost`` tombstones kept; past it the oldest is evicted
 _MAX_LOST_SESSIONS = 4096
 
+#: what a backend request may raise short of an answer: the link died,
+#: the reply timed out, or the backend refused or garbled it
+_LINK_ERRORS = (BackendLostError, asyncio.TimeoutError, ServerError, ProtocolError)
+
 
 @dataclass
 class RouterConfig:
@@ -218,8 +222,7 @@ class Router(WireEndpoint):
                 )
             except asyncio.CancelledError:
                 raise
-            except (BackendLostError, asyncio.TimeoutError, ServerError,
-                    ProtocolError) as exc:
+            except _LINK_ERRORS as exc:
                 before = health.state
                 health.note_failure()
                 self.stats.inc("probes.failed")
@@ -279,8 +282,7 @@ class Router(WireEndpoint):
                     )
                 except asyncio.CancelledError:
                     raise
-                except (BackendLostError, asyncio.TimeoutError, ServerError,
-                        ProtocolError):
+                except _LINK_ERRORS:
                     continue  # the solve driver handles real loss
                 ckpt = reply.get("checkpoint")
                 if isinstance(ckpt, dict):
@@ -350,9 +352,7 @@ class Router(WireEndpoint):
     # solve routing
     # ------------------------------------------------------------------
     async def _on_solve(self, conn: Conn, frame: Dict[str, Any]) -> None:
-        request_id = frame.get("id")
-        if await self._bad_id(conn, request_id):
-            return
+        request_id = self._frame_id(frame)
         if request_id is not None and request_id in conn.jobs:
             entry = self._inflight.get(conn.jobs[request_id])
             dup_key = frame.get("request_id")
@@ -366,48 +366,23 @@ class Router(WireEndpoint):
                 # in-flight entry will answer it, so just drop the copy
                 self.stats.inc("dedup.dropped_duplicates")
                 return
-            await self._send_error(
-                conn,
-                "bad_request",
-                f"request id {request_id!r} is already in flight "
-                f"on this connection",
-                request_id=request_id,
-            )
-            return
-        if await self._refuse_draining(conn, request_id):
-            return
+        self._check_id_free(conn, request_id)
+        self._check_not_draining()
         # full validation (graph decode included) runs off the loop;
         # it also yields the fingerprints that form the ring key
         loop = asyncio.get_running_loop()
-        try:
-            request, _ = await loop.run_in_executor(
-                None, protocol.solve_request_from_frame, frame
-            )
-        except ProtocolError as exc:
-            self.stats.inc("rejects.bad_request")
-            await self._send_error(conn, exc.code, str(exc), request_id=request_id)
-            return
+        request, _ = await loop.run_in_executor(
+            None, protocol.solve_request_from_frame, frame
+        )
         problem = request.config.problem
         advertised = self._hello_frame()["problems"]
         if problem not in advertised:
-            self.stats.inc("rejects.unsupported_problem")
-            await self._send_error(
-                conn,
-                "unsupported_problem",
+            raise ProtocolError(
                 f"no backend intersection solves {problem!r} "
                 f"(advertised: {advertised})",
-                request_id=request_id,
+                code="unsupported_problem",
             )
-            return
-        if request.deadline is not None and request.deadline.expired:
-            self.stats.inc("rejects.deadline_exceeded")
-            await self._send_error(
-                conn,
-                "deadline_exceeded",
-                "request deadline expired before placement",
-                request_id=request_id,
-            )
-            return
+        self._check_deadline(request, "before placement")
         key = (
             f"{request.graph.fingerprint()}/"
             f"{config_fingerprint(request.config)}"
@@ -468,23 +443,25 @@ class Router(WireEndpoint):
                     if budget <= 0:
                         # the client stopped waiting somewhere between
                         # placements: fail retriable, burn no backend
-                        self.stats.inc("rejects.deadline_exceeded")
-                        await self._send_error(
+                        await self._refuse(
                             entry.conn,
-                            "deadline_exceeded",
-                            "request deadline expired while routing",
-                            request_id=entry.request_id,
+                            ServerError(
+                                "request deadline expired while routing",
+                                code="deadline_exceeded",
+                            ),
+                            entry.request_id,
                         )
                         return
                 name, rebalanced = self._pick_backend(entry)
                 if name is None:
-                    self.stats.inc("rejects.no_backend")
-                    await self._send_error(
+                    await self._refuse(
                         entry.conn,
-                        "no_backend",
-                        "no healthy backend available for this request",
-                        request_id=entry.request_id,
-                        retry_after_s=self.config.probe_interval_s,
+                        ServerError(
+                            "no healthy backend available for this request",
+                            code="no_backend",
+                            retry_after_s=self.config.probe_interval_s,
+                        ),
+                        entry.request_id,
                     )
                     return
                 entry.attempts += 1
@@ -541,12 +518,8 @@ class Router(WireEndpoint):
                                 * (0.5 + 0.5 * self._rng.random())
                             )
                         continue
-                    self.stats.inc(f"solves.{exc.code}")
-                    await self._send_error(
-                        entry.conn,
-                        exc.code,
-                        str(exc),
-                        request_id=entry.request_id,
+                    await self._refuse(
+                        entry.conn, exc, entry.request_id, tally="solves"
                     )
                     return
                 entry.backend = None
@@ -576,19 +549,15 @@ class Router(WireEndpoint):
                 )
                 if entry.resumed:
                     self.stats.inc("solves.resumed_ok")
-                out = dict(reply)
-                if entry.request_id is not None:
-                    out["id"] = entry.request_id
-                else:
-                    out.pop("id", None)
-                await self._send(entry.conn, out)
+                await self._relay(entry.conn, reply, entry.request_id)
                 return
-            self.stats.inc("rejects.no_backend")
-            await self._send_error(
+            await self._refuse(
                 entry.conn,
-                "no_backend",
-                f"placement failed after {entry.attempts} attempt(s)",
-                request_id=entry.request_id,
+                ServerError(
+                    f"placement failed after {entry.attempts} attempt(s)",
+                    code="no_backend",
+                ),
+                entry.request_id,
             )
         finally:
             self._inflight.pop(entry.rid, None)
@@ -617,66 +586,45 @@ class Router(WireEndpoint):
                 return name
         return None
 
-    async def _pinned_backend(
-        self, conn: Conn, sid: str, request_id: Optional[str]
-    ) -> Optional[str]:
+    def _pinned_backend(self, sid: str) -> str:
         """The live backend holding session ``sid``.
 
-        Returns None after answering ``unknown_session`` (never opened
-        here) or ``session_lost`` (its backend died) to the client.
+        Refuses with ``unknown_session`` (never opened here) or
+        ``session_lost`` (its backend died).
         """
         name = self._pinned.get(sid)
-        if name is None:
-            code = (
-                "session_lost" if sid in self._lost_sessions else "unknown_session"
-            )
-            self.stats.inc(f"sessions.{code}")
-        elif not self.health[name].available:
+        if name is not None:
+            if self.health[name].available:
+                return name
             self._mark_session_lost(sid)
-            code = "session_lost"
-        else:
-            return name
-        await self._send_error(
-            conn,
-            code,
-            f"session {sid!r} is not resident behind this router"
-            + ("; its backend died -- reopen it" if code == "session_lost" else ""),
-            request_id=request_id,
+        if sid in self._lost_sessions:
+            raise ServerError(
+                f"session {sid!r} is not resident behind this router; "
+                "its backend died -- reopen it",
+                code="session_lost",
+            )
+        raise ServerError(
+            f"session {sid!r} is not resident behind this router",
+            code="unknown_session",
         )
-        return None
 
     async def _on_session_op(self, conn: Conn, frame: Dict[str, Any]) -> None:
         ftype = frame["type"]
-        request_id = frame.get("id")
-        if await self._bad_id(conn, request_id):
-            return
-        try:
-            sid = protocol.validate_session_id(frame)
-        except ProtocolError as exc:
-            await self._send_error(
-                conn, exc.code, str(exc), request_id=request_id
-            )
-            return
-        if await self._refuse_draining(conn, request_id):
-            return
+        request_id = self._frame_id(frame)
+        sid = protocol.validate_session_id(frame)
+        self._check_not_draining()
         if ftype == "open-session":
             name = self._pinned.get(sid)
             if name is None or not self.health[name].available:
                 name = self._pick_session_backend(sid)
             if name is None:
-                self.stats.inc("rejects.no_backend")
-                await self._send_error(
-                    conn,
-                    "no_backend",
+                raise ServerError(
                     "no healthy backend available for this session",
-                    request_id=request_id,
+                    code="no_backend",
                     retry_after_s=self.config.probe_interval_s,
                 )
-                return
         else:
-            name = await self._pinned_backend(conn, sid, request_id)
-            if name is None:
-                return
+            name = self._pinned_backend(sid)
         rid = f"rt-s{self._next_rid}"
         self._next_rid += 1
         wire = dict(frame)
@@ -706,34 +654,22 @@ class Router(WireEndpoint):
                 # nothing was pinned yet: the retried open (same
                 # request_id) simply lands on the next live backend
                 self.stats.inc("sessions.open_failed")
-                await self._send_error(
-                    conn,
-                    "no_backend",
+                lost = ServerError(
                     f"backend {name} lost while opening session {sid!r}",
-                    request_id=request_id,
+                    code="no_backend",
                     retry_after_s=self.config.probe_interval_s,
                 )
             else:
                 self._mark_session_lost(sid)
-                await self._send_error(
-                    conn,
-                    "session_lost",
+                lost = ServerError(
                     f"backend {name} died holding session {sid!r}; its "
                     "resident state is gone -- reopen the session",
-                    request_id=request_id,
+                    code="session_lost",
                 )
+            await self._refuse(conn, lost, request_id, tally=None)
             return
         except ServerError as exc:
-            self.stats.inc(f"sessions.{exc.code}")
-            out = protocol.error_frame(
-                exc.code,
-                str(exc),
-                request_id,
-                getattr(exc, "retry_after_s", None),
-            )
-            out["retriable"] = exc.retriable
-            out["exit_code"] = exc.exit_code
-            await self._send(conn, out)
+            await self._refuse(conn, exc, request_id, tally="sessions")
             return
         self.health[name].note_success()
         if ftype == "open-session":
@@ -745,12 +681,7 @@ class Router(WireEndpoint):
             self.stats.inc("sessions.closed")
         else:
             self.stats.inc("sessions.mutated")
-        out = dict(reply)
-        if request_id is not None:
-            out["id"] = request_id
-        else:
-            out.pop("id", None)
-        await self._send(conn, out)
+        await self._relay(conn, reply, request_id)
 
     async def _on_subscribe(
         self, conn: Conn, frame: Dict[str, Any]
@@ -763,20 +694,9 @@ class Router(WireEndpoint):
         subscribe id, so no rewriting is needed and the stream stays
         byte-faithful to a direct subscription.
         """
-        rid = frame.get("id")
-        if not isinstance(rid, str) or not rid:
-            await self._send_error(
-                conn, "bad_request", "subscribe needs an 'id' string"
-            )
-            return
-        try:
-            sid = protocol.validate_session_id(frame)
-        except ProtocolError as exc:
-            await self._send_error(conn, exc.code, str(exc), request_id=rid)
-            return
-        name = await self._pinned_backend(conn, sid, rid)
-        if name is not None:
-            conn.spawn(self._subscribe_pipe(conn, frame, name))
+        self._frame_id(frame, required=True)
+        name = self._pinned_backend(protocol.validate_session_id(frame))
+        conn.spawn(self._subscribe_pipe(conn, frame, name))
 
     async def _subscribe_pipe(
         self, conn: Conn, frame: Dict[str, Any], name: str
@@ -797,13 +717,12 @@ class Router(WireEndpoint):
                     # must learn its view can no longer advance
                     if not conn.closed:
                         self._mark_session_lost(sid)
-                        await self._send_error(
-                            conn,
-                            "session_lost",
+                        lost = ServerError(
                             f"backend {name} lost mid-subscription of "
                             f"session {sid!r}",
-                            request_id=rid,
+                            code="session_lost",
                         )
+                        await self._refuse(conn, lost, rid, tally=None)
                     return
                 try:
                     out = protocol.decode_frame(line)
@@ -817,12 +736,11 @@ class Router(WireEndpoint):
             raise
         except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
             if not conn.closed:
-                await self._send_error(
-                    conn,
-                    "session_lost",
+                lost = ServerError(
                     f"subscription to backend {name} failed: {exc}",
-                    request_id=rid,
+                    code="session_lost",
                 )
+                await self._refuse(conn, lost, rid, tally=None)
         finally:
             if writer is not None:
                 with contextlib.suppress(Exception):
@@ -834,9 +752,7 @@ class Router(WireEndpoint):
     async def _on_forwarded(self, conn: Conn, frame: Dict[str, Any]) -> None:
         """Relay status/cancel/checkpoint to the owning backend."""
         ftype = frame["type"]
-        request_id = await self._required_id(conn, frame)
-        if request_id is None:
-            return
+        request_id = self._frame_id(frame, required=True)
         reply_type = "status" if ftype == "cancel" else ftype
         rid = conn.jobs.get(request_id)
         entry = self._inflight.get(rid) if rid is not None else None
@@ -861,15 +777,23 @@ class Router(WireEndpoint):
                 (reply_type,),
                 timeout_s=self.config.probe_timeout_s,
             )
-        except (BackendLostError, asyncio.TimeoutError, ServerError,
-                ProtocolError):
+        except _LINK_ERRORS:
             await self._send(
                 conn,
                 {"type": reply_type, "id": request_id, "state": "unknown"},
             )
             return
+        await self._relay(conn, reply, request_id)
+
+    async def _relay(
+        self, conn: Conn, reply: Dict[str, Any], request_id: Optional[str]
+    ) -> None:
+        """Send a backend's reply on under the client's own request id."""
         out = dict(reply)
-        out["id"] = request_id
+        if request_id is not None:
+            out["id"] = request_id
+        else:
+            out.pop("id", None)
         await self._send(conn, out)
 
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import sys
 from dataclasses import dataclass, fields
-from typing import Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from ..errors import SolverConfigError
 
@@ -25,6 +25,7 @@ __all__ = [
     "PROBLEM_KINDS",
     "FINGERPRINT_VERSION",
     "config_fingerprint",
+    "config_from_dict",
     "is_time_budget",
 ]
 
@@ -299,6 +300,27 @@ class SolverConfig:
             and self.window_fanout == 1
             and self.problem == "max-clique"
         )
+
+
+def config_from_dict(spec: Dict[str, Any]) -> SolverConfig:
+    """The :class:`SolverConfig` a ``config`` object spells out.
+
+    The one reader of the ``config`` objects of jobs files and wire
+    frames: keys are field names, passed through verbatim. Raises
+    :class:`~repro.errors.SolverConfigError` naming any unknown key, or
+    saying why the values make no valid config.
+    """
+    valid = SolverConfig.__dataclass_fields__
+    unknown = set(spec) - set(valid)
+    if unknown:
+        raise SolverConfigError(
+            f"unknown config key(s) {sorted(unknown)}; valid keys are the "
+            f"SolverConfig fields {sorted(valid)}"
+        )
+    try:
+        return SolverConfig(**spec)
+    except (ValueError, TypeError) as exc:
+        raise SolverConfigError(f"invalid config: {exc}") from exc
 
 
 #: config fields that cannot change the solve's *result*, only how

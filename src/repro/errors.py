@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Type, Union
+from typing import Any, Dict, Optional, Tuple, Type, Union
 
 __all__ = [
+    "ERROR_CODES",
     "ReproError",
     "AdmissionRejectedError",
     "CheckpointError",
@@ -33,6 +34,49 @@ __all__ = [
     "TransientKernelError",
     "read_json",
 ]
+
+
+#: Wire error codes: ``code -> (retriable, exit_code)``. Retriable
+#: means the identical request may succeed later (the client's backoff
+#: loop is allowed to retry); exit_code is the suggested CLI status.
+#: Error frames and :class:`ServerError` take both from this one table.
+ERROR_CODES: Dict[str, Tuple[bool, int]] = {
+    "bad_frame": (False, 1),
+    "frame_too_large": (False, 1),
+    "unsupported_protocol": (False, 1),
+    "handshake_required": (False, 1),
+    "unknown_type": (False, 1),
+    "bad_request": (False, 1),
+    #: the server build does not solve the requested problem kind --
+    #: retrying the identical request can never succeed
+    "unsupported_problem": (False, 1),
+    "rate_limited": (True, 1),
+    "server_busy": (True, 1),
+    "draining": (True, 1),
+    "too_many_connections": (True, 1),
+    #: a router found no healthy backend to place the request on --
+    #: backends may recover, so the identical request can succeed later
+    "no_backend": (True, 1),
+    #: the request's ``deadline_s`` budget expired before (or while)
+    #: the server could dispatch it -- retriable so the caller may try
+    #: again with a fresh budget, exit code 3 like a solve timeout
+    "deadline_exceeded": (True, 3),
+    "cancelled": (False, 1),
+    "internal": (False, 1),
+    #: streaming sessions (docs/STREAMING.md): the named session id is
+    #: not resident on this server -- resending cannot make it appear
+    "unknown_session": (False, 1),
+    #: an ``open-session`` named an id that is already resident with
+    #: a different identity (not an idempotent retry of the open)
+    "session_exists": (False, 1),
+    #: the backend holding this session's resident graph died; the
+    #: state is gone, so retrying the same frame can never succeed --
+    #: the client must open a fresh session and replay its stream
+    "session_lost": (False, 1),
+    #: the server's bounded session registry is full; closes elsewhere
+    #: may free a slot, so the identical open can succeed later
+    "too_many_sessions": (True, 1),
+}
 
 
 class ReproError(Exception):
@@ -224,12 +268,13 @@ class ProtocolError(ReproError, ValueError):
 
 
 class ServerError(ReproError, RuntimeError):
-    """An ``error`` frame received from the solve server.
+    """An ``error`` frame received from, or answered by, the solve server.
 
     Raised by the client library when the server rejects or fails a
-    request. ``retriable`` mirrors the frame: True means the same
-    request may succeed later (rate limit, full queue, draining
-    server) and the client's backoff loop is allowed to retry it.
+    request, and by the server's and router's handlers to refuse one.
+    ``retriable`` mirrors the frame: True means the same request may
+    succeed later (rate limit, full queue, draining server) and the
+    client's backoff loop is allowed to retry it.
 
     Attributes
     ----------
@@ -240,18 +285,26 @@ class ServerError(ReproError, RuntimeError):
     exit_code:
         Suggested CLI exit status, reusing the ``repro solve``
         semantics (2 OOM, 3 timeout, 4 device lost, 1 otherwise).
+    retry_after_s:
+        Seconds the sender suggests waiting before a retry, or None.
+
+    ``retriable`` and ``exit_code`` default to the :data:`ERROR_CODES`
+    entry of ``code`` (``internal``'s for a code it does not list).
     """
 
     def __init__(
         self,
         message: str,
         code: str = "internal",
-        retriable: bool = False,
-        exit_code: int = 1,
+        retriable: Optional[bool] = None,
+        exit_code: Optional[int] = None,
+        retry_after_s: Optional[float] = None,
     ) -> None:
+        table = ERROR_CODES.get(code, ERROR_CODES["internal"])
         self.code = code
-        self.retriable = bool(retriable)
-        self.exit_code = int(exit_code)
+        self.retriable = table[0] if retriable is None else bool(retriable)
+        self.exit_code = table[1] if exit_code is None else int(exit_code)
+        self.retry_after_s = retry_after_s
         super().__init__(message)
 
 

@@ -85,6 +85,14 @@ HOOK_ALLOC = "alloc"
 #: 10 devices, or the default frames on 512 connections
 MAX_PLAN_DRAWS = 1 << 20
 
+
+def is_index(value: Any) -> bool:
+    """Whether ``value`` is a non-negative integer (a bool is not): what
+    a fault event's device, ordinal, connection, frame and split offset
+    must be, since the injector and the proxy index by them."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 #: which hook each kind may fire on
 _VALID_HOOKS = {
     KIND_TRANSIENT_KERNEL: (HOOK_LAUNCH,),
@@ -119,8 +127,8 @@ class FaultEvent:
                 f"fault kind {self.kind!r} cannot fire on {self.on!r} "
                 f"(valid hooks: {_VALID_HOOKS[self.kind]})"
             )
-        if self.device < 0 or self.ordinal < 0:
-            raise FaultPlanError("device and ordinal must be non-negative")
+        if not (is_index(self.device) and is_index(self.ordinal)):
+            raise FaultPlanError("device and ordinal must be non-negative integers")
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)

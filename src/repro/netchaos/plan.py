@@ -58,7 +58,7 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 import numpy as np
 
 from ..errors import NetFaultPlanError, read_json
-from ..gpusim.faults import BaseFaultPlan
+from ..gpusim.faults import BaseFaultPlan, is_index
 
 __all__ = [
     "NET_FAULT_PLAN_SCHEMA",
@@ -124,16 +124,16 @@ class NetFaultEvent:
                 f"unknown direction {self.direction!r}; "
                 f"expected one of {DIRECTIONS}"
             )
-        if self.conn < 0 or self.frame < 0:
-            raise NetFaultPlanError("conn and frame must be non-negative")
+        if not (is_index(self.conn) and is_index(self.frame)):
+            raise NetFaultPlanError("conn and frame must be non-negative integers")
         if self.kind in _TIMED_KINDS and not self.delay_s > 0.0:
             raise NetFaultPlanError(
                 f"fault kind {self.kind!r} needs a positive delay_s"
             )
         if self.delay_s < 0.0:
             raise NetFaultPlanError("delay_s must be non-negative")
-        if self.at_byte < 0:
-            raise NetFaultPlanError("at_byte must be non-negative")
+        if not is_index(self.at_byte):
+            raise NetFaultPlanError("at_byte must be a non-negative integer")
 
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {

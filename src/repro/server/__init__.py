@@ -5,11 +5,12 @@ into a long-lived network daemon (``repro serve``) plus the matching
 synchronous client library (``repro client``):
 
 * :mod:`repro.server.protocol` -- the versioned newline-delimited JSON
-  wire format, error-code table, and graph payload codecs;
+  wire format, error frames, hello checks, and graph payload codecs;
 * :mod:`repro.server.bridge` -- the micro-batching worker-thread
   bridge that keeps solves off the event loop;
 * :mod:`repro.server.endpoint` -- the connection layer and thread
-  harness the server shares with the cluster router;
+  harness the server shares with the cluster router, and the one place
+  a refused frame is answered;
 * :mod:`repro.server.server` -- the asyncio TCP server (framing,
   backpressure, rate limiting, graceful drain);
 * :mod:`repro.server.client` -- the blocking client with retry and

@@ -49,12 +49,19 @@ RUNNING = "running"
 DONE = "done"
 
 
-class BridgeQueueFull(Exception):
-    """The bounded bridge queue is at capacity (backpressure signal)."""
+class BridgeQueueFull(ServerError):
+    """The bounded bridge queue is at capacity (backpressure signal).
+
+    Answered as a retriable ``server_busy`` with a short retry hint.
+    """
 
     def __init__(self, depth: int) -> None:
         self.depth = depth
-        super().__init__(f"bridge queue full at {depth} request(s)")
+        super().__init__(
+            f"bridge queue full at {depth} request(s)",
+            code="server_busy",
+            retry_after_s=0.1,
+        )
 
 
 @dataclass(eq=False)
@@ -134,7 +141,6 @@ class SolveBridge:
                 raise ServerError(
                     "server is draining; retry against another replica",
                     code="draining",
-                    retriable=True,
                 )
             if len(self._queue) >= self.max_queue:
                 raise BridgeQueueFull(len(self._queue))
@@ -218,9 +224,7 @@ class SolveBridge:
                 self._finish(
                     job,
                     error=ServerError(
-                        "server is draining; queued job rejected",
-                        code="draining",
-                        retriable=True,
+                        "server is draining; queued job rejected", code="draining"
                     ),
                 )
             self._cond.notify()
@@ -282,8 +286,6 @@ class SolveBridge:
                             error=ServerError(
                                 f"job {job.key} missed its deadline while queued",
                                 code="deadline_exceeded",
-                                retriable=True,
-                                exit_code=3,
                             ),
                         )
                     else:

@@ -57,10 +57,6 @@ def _parse_address(addr) -> "tuple":
     raise TypeError(f"cannot parse {addr!r} as a server address")
 
 
-#: the handshake frame every connection opens with
-_HELLO = {"type": "hello", "protocol": protocol.PROTOCOL, "client": "repro-client"}
-
-
 def _config_spec(config, config_kwargs) -> Dict[str, Any]:
     """One request's config: a dict or keyword options, not both."""
     if config is not None and config_kwargs:
@@ -178,18 +174,8 @@ class SolveClient:
                 (self.host, self.port), timeout=self.timeout_s
             )
             self._file = self._sock.makefile("rb")
-            self._send(_HELLO)
-            hello = self._recv()
-            if hello.get("type") != "hello":
-                raise ProtocolError(
-                    f"expected a hello frame, got {hello.get('type')!r}"
-                )
-            if hello.get("protocol") != protocol.PROTOCOL:
-                raise ProtocolError(
-                    f"server speaks {hello.get('protocol')!r}, "
-                    f"client needs {protocol.PROTOCOL}",
-                    code="unsupported_protocol",
-                )
+            self._send(protocol.client_hello("repro-client"))
+            hello = protocol.check_hello(self._recv())
         except BaseException:
             self.close()
             raise
@@ -334,8 +320,6 @@ class SolveClient:
                         "client deadline budget exhausted before "
                         f"attempt {attempt + 1}",
                         code="deadline_exceeded",
-                        retriable=True,
-                        exit_code=3,
                     )
             try:
                 return exchange(remaining)
@@ -433,7 +417,6 @@ class SolveClient:
                     f"server does not solve problem kind {problem!r} "
                     f"(advertised: {advertised})",
                     code="unsupported_problem",
-                    retriable=False,
                 )
         return self._request(
             "solve",
@@ -475,7 +458,6 @@ class SolveClient:
             raise ServerError(
                 "server does not speak streaming sessions",
                 code="unsupported_protocol",
-                retriable=False,
             )
         if session is None:
             # named after the request_id this call is about to stamp

@@ -12,10 +12,19 @@ does not depend on what the endpoint does with a frame:
   it), an undecodable one gets ``bad_frame`` and the connection stays;
 * writes under ``writer.drain()`` with bounded transport buffers, so
   one unread socket stalls only its own connection task;
-* error frames, graceful drain (:meth:`~WireEndpoint.begin_drain`,
-  also on SIGTERM/SIGINT under :meth:`~WireEndpoint.run`), and a
-  frame-type -> handler table that answers ``shutdown``, ``stats``, a
-  repeated ``hello`` and unknown frame types in one place.
+* one refusal path: a handler refuses a frame by raising
+  :class:`~repro.errors.ProtocolError`, :class:`~repro.errors.ServerError`
+  or :class:`~repro.errors.SessionError`, and the read loop answers it
+  with an error frame that echoes the frame's string ``id``; tasks that
+  answer later call the same :meth:`~WireEndpoint._refuse`. Every
+  refusal counts once, as ``rejects.<code>`` (a later answer under the
+  tally its task names). The checks the server and the router share --
+  the frame's id, an id already in flight, a drain under way, a spent
+  ``deadline_s`` -- raise from here;
+* graceful drain (:meth:`~WireEndpoint.begin_drain`, also on
+  SIGTERM/SIGINT under :meth:`~WireEndpoint.run`), and a frame-type ->
+  handler table that answers ``shutdown``, ``stats``, a repeated
+  ``hello`` and unknown frame types in one place.
 
 A subclass supplies its hello and bye frames, its ``stats`` frame, the
 body of its drain, and one handler per frame type it serves.
@@ -36,7 +45,7 @@ import signal
 import threading
 from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple
 
-from ..errors import ProtocolError
+from ..errors import ProtocolError, ServerError, SessionError
 from ..log import get_logger
 from . import protocol
 from .stats import ServerStats
@@ -46,6 +55,9 @@ __all__ = ["Conn", "Listener", "WireEndpoint", "EndpointThread"]
 log = get_logger("server.endpoint")
 
 Handler = Callable[["Conn", Dict[str, Any]], Awaitable[None]]
+
+#: what a handler raises to refuse a frame; each carries a wire ``code``
+REFUSALS = (ProtocolError, ServerError, SessionError)
 
 
 class Conn:
@@ -227,14 +239,9 @@ class WireEndpoint(Listener):
         self._next_cid += 1
         if self._draining or len(self._conns) >= self.config.max_conns:
             code = "draining" if self._draining else "too_many_connections"
-            self.stats.inc(f"rejects.{code}")
-            with contextlib.suppress(ConnectionError, OSError):
-                writer.write(
-                    protocol.encode_frame(
-                        protocol.error_frame(code, f"connection refused: {code}")
-                    )
-                )
-                await writer.drain()
+            await self._refuse(
+                conn, ServerError(f"connection refused: {code}", code=code)
+            )
             writer.close()
             return
         # bound the kernel-side write buffer so a slow reader exerts
@@ -255,40 +262,39 @@ class WireEndpoint(Listener):
             await self._close_conn(conn)
 
     async def _handshake(self, conn: Conn, reader: asyncio.StreamReader) -> bool:
+        """Answer the client's hello; False once the connection must close."""
         try:
             line = await asyncio.wait_for(
                 reader.readline(), self.config.handshake_timeout_s
             )
+            if not line:
+                return False
+            self.stats.inc("frames.in")
+            frame = protocol.decode_frame(line)
+            if frame.get("type") != "hello":
+                raise ProtocolError(
+                    f"first frame must be hello, got {frame.get('type')!r}",
+                    code="handshake_required",
+                )
+            if frame.get("protocol") != protocol.PROTOCOL:
+                raise ProtocolError(
+                    f"{self.role} speaks {protocol.PROTOCOL}, "
+                    f"client offered {frame.get('protocol')!r}",
+                    code="unsupported_protocol",
+                )
         except asyncio.TimeoutError:
-            await self._send_error(
-                conn, "handshake_required", "no hello frame before timeout"
+            await self._refuse(
+                conn,
+                ProtocolError(
+                    "no hello frame before timeout", code="handshake_required"
+                ),
             )
+            return False
+        except ProtocolError as exc:
+            await self._refuse(conn, exc)
             return False
         except ValueError:
             await self._oversized(conn)
-            return False
-        if not line:
-            return False
-        self.stats.inc("frames.in")
-        try:
-            frame = protocol.decode_frame(line)
-        except ProtocolError as exc:
-            await self._send_error(conn, exc.code, str(exc))
-            return False
-        if frame.get("type") != "hello":
-            await self._send_error(
-                conn,
-                "handshake_required",
-                f"first frame must be hello, got {frame.get('type')!r}",
-            )
-            return False
-        if frame.get("protocol") != protocol.PROTOCOL:
-            await self._send_error(
-                conn,
-                "unsupported_protocol",
-                f"{self.role} speaks {protocol.PROTOCOL}, "
-                f"client offered {frame.get('protocol')!r}",
-            )
             return False
         await self._send(conn, await self._hello())
         return True
@@ -305,25 +311,21 @@ class WireEndpoint(Listener):
             if not line:
                 return  # EOF
             self.stats.inc("frames.in")
+            rid = None
             try:
                 frame = protocol.decode_frame(line)
-            except ProtocolError as exc:
-                # newline framing is still intact after a bad line, so
-                # answer and keep the connection
-                self.stats.inc("rejects.bad_frame")
-                await self._send_error(conn, exc.code, str(exc))
-                continue
-            handler = self._handlers.get(frame["type"])
-            if handler is None:
-                self.stats.inc("rejects.unknown_type")
-                await self._send_error(
-                    conn,
-                    "unknown_type",
-                    f"unknown frame type {frame['type']!r}",
-                    request_id=frame.get("id"),
-                )
-                continue
-            await handler(conn, frame)
+                rid = frame.get("id")
+                handler = self._handlers.get(frame["type"])
+                if handler is None:
+                    raise ProtocolError(
+                        f"unknown frame type {frame['type']!r}", code="unknown_type"
+                    )
+                await handler(conn, frame)
+            except REFUSALS as exc:
+                # newline framing is still intact after a refused line,
+                # so answer and keep the connection
+                echo = rid if isinstance(rid, str) else None
+                await self._refuse(conn, exc, echo)
 
     async def _on_hello(self, conn: Conn, frame: Dict[str, Any]) -> None:
         # a redundant hello is harmless; answer it again
@@ -336,34 +338,49 @@ class WireEndpoint(Listener):
     async def _on_stats(self, conn: Conn, frame: Dict[str, Any]) -> None:
         await self._send(conn, self.stats_frame())
 
-    async def _bad_id(self, conn: Conn, rid) -> bool:
-        """Answer a non-string ``id`` with ``bad_request``."""
-        if rid is None or isinstance(rid, str):
-            return False
-        await self._send_error(conn, "bad_request", "'id' must be a string")
-        return True
+    # ------------------------------------------------------------------
+    # checks the handlers share; each raises the refusal
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _frame_id(frame: Dict[str, Any], required: bool = False) -> Optional[str]:
+        """The frame's ``id``: a string, or None when absent and not ``required``.
 
-    async def _required_id(
-        self, conn: Conn, frame: Dict[str, Any]
-    ) -> Optional[str]:
-        """The frame's ``id`` string, or None after answering it is missing."""
+        A ``subscribe`` id must also be non-empty: its update frames
+        are stamped with it.
+        """
         rid = frame.get("id")
-        if isinstance(rid, str):
+        if rid is None and not required:
+            return None
+        if isinstance(rid, str) and (rid or frame["type"] != "subscribe"):
             return rid
-        await self._send_error(
-            conn, "bad_request", f"{frame['type']} needs an 'id' string"
+        raise ProtocolError(
+            f"{frame['type']} needs an 'id' string"
+            if required else "'id' must be a string",
+            code="bad_request",
         )
-        return None
 
-    async def _refuse_draining(self, conn: Conn, rid) -> bool:
-        """Answer ``draining`` to new work once a drain has begun."""
-        if not self._draining:
-            return False
-        self.stats.inc("rejects.draining")
-        await self._send_error(
-            conn, "draining", f"{self.role} is draining", request_id=rid
-        )
-        return True
+    @staticmethod
+    def _check_id_free(conn: Conn, rid: Optional[str]) -> None:
+        """Refuse a request id still in flight on this connection."""
+        if rid is not None and rid in conn.jobs:
+            raise ProtocolError(
+                f"request id {rid!r} is already in flight on this connection",
+                code="bad_request",
+            )
+
+    def _check_not_draining(self) -> None:
+        """Refuse new work once a drain has begun."""
+        if self._draining:
+            raise ServerError(f"{self.role} is draining", code="draining")
+
+    @staticmethod
+    def _check_deadline(request, when: str) -> None:
+        """Refuse a request whose ``deadline_s`` budget is already spent:
+        nobody is waiting for its answer any more."""
+        if request.deadline is not None and request.deadline.expired:
+            raise ServerError(
+                f"request deadline expired {when}", code="deadline_exceeded"
+            )
 
     # ------------------------------------------------------------------
     # writing and closing
@@ -382,25 +399,37 @@ class WireEndpoint(Listener):
         except (ConnectionError, OSError):
             conn.closed = True
 
-    async def _send_error(
+    async def _refuse(
         self,
         conn: Conn,
-        code: str,
-        message: str,
-        request_id: Optional[str] = None,
-        retry_after_s: Optional[float] = None,
+        exc,
+        rid: Optional[str] = None,
+        tally: Optional[str] = "rejects",
     ) -> None:
-        self.stats.inc("errors.sent")
-        await self._send(
-            conn, protocol.error_frame(code, message, request_id, retry_after_s)
+        """Answer a refused request with ``exc``'s error frame, echoing ``rid``.
+
+        ``exc`` is one of :data:`REFUSALS`; a :class:`ServerError` keeps
+        the retriable flag and exit code it carries (a backend's relayed
+        error), the others take their code's. Counted as
+        ``<tally>.<code>`` unless ``tally`` is None.
+        """
+        if tally is not None:
+            self.stats.inc(f"{tally}.{exc.code}")
+        frame = protocol.error_frame(
+            exc.code, str(exc), rid, getattr(exc, "retry_after_s", None)
         )
+        if isinstance(exc, ServerError):
+            frame.update(retriable=exc.retriable, exit_code=exc.exit_code)
+        self.stats.inc("errors.sent")
+        await self._send(conn, frame)
 
     async def _oversized(self, conn: Conn) -> None:
-        self.stats.inc("rejects.frame_too_large")
-        await self._send_error(
+        await self._refuse(
             conn,
-            "frame_too_large",
-            f"frame exceeds max_frame_bytes={self.config.max_frame_bytes}",
+            ProtocolError(
+                f"frame exceeds max_frame_bytes={self.config.max_frame_bytes}",
+                code="frame_too_large",
+            ),
         )
         await self._close_conn(conn)
 

@@ -42,10 +42,12 @@ import binascii
 import gzip
 import json
 import zlib
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from ..core.config import PROBLEM_KINDS, SolverConfig, is_time_budget
-from ..errors import ProtocolError, ServerError, SolverConfigError
+from ..core.config import (
+    PROBLEM_KINDS, SolverConfig, config_from_dict, is_time_budget,
+)
+from ..errors import ERROR_CODES, ProtocolError, ServerError, SolverConfigError
 from ..graph.csr import CSRGraph
 from ..graph.io import format_edge_list, parse_edge_list_text
 
@@ -61,6 +63,8 @@ __all__ = [
     "decode_frame",
     "error_frame",
     "error_from_frame",
+    "client_hello",
+    "check_hello",
     "hello_frame",
     "encode_graph",
     "decode_graph",
@@ -93,47 +97,6 @@ CLIENT_TYPES = frozenset(
      "open-session", "mutate", "subscribe", "close-session"}
 )
 
-#: Wire error codes: ``code -> (retriable, exit_code)``. Retriable
-#: means the identical request may succeed later (the client's backoff
-#: loop is allowed to retry); exit_code is the suggested CLI status.
-ERROR_CODES: Dict[str, Tuple[bool, int]] = {
-    "bad_frame": (False, 1),
-    "frame_too_large": (False, 1),
-    "unsupported_protocol": (False, 1),
-    "handshake_required": (False, 1),
-    "unknown_type": (False, 1),
-    "bad_request": (False, 1),
-    #: the server build does not solve the requested problem kind --
-    #: retrying the identical request can never succeed
-    "unsupported_problem": (False, 1),
-    "rate_limited": (True, 1),
-    "server_busy": (True, 1),
-    "draining": (True, 1),
-    "too_many_connections": (True, 1),
-    #: a router found no healthy backend to place the request on --
-    #: backends may recover, so the identical request can succeed later
-    "no_backend": (True, 1),
-    #: the request's ``deadline_s`` budget expired before (or while)
-    #: the server could dispatch it -- retriable so the caller may try
-    #: again with a fresh budget, exit code 3 like a solve timeout
-    "deadline_exceeded": (True, 3),
-    "cancelled": (False, 1),
-    "internal": (False, 1),
-    #: streaming sessions (docs/STREAMING.md): the named session id is
-    #: not resident on this server -- resending cannot make it appear
-    "unknown_session": (False, 1),
-    #: an ``open-session`` named an id that is already resident with
-    #: a different identity (not an idempotent retry of the open)
-    "session_exists": (False, 1),
-    #: the backend holding this session's resident graph died; the
-    #: state is gone, so retrying the same frame can never succeed --
-    #: the client must open a fresh session and replay its stream
-    "session_lost": (False, 1),
-    #: the server's bounded session registry is full; closes elsewhere
-    #: may free a slot, so the identical open can succeed later
-    "too_many_sessions": (True, 1),
-}
-
 _SOLVE_KEYS = frozenset(
     {"type", "id", "graph", "problem", "config", "timeout_s", "label",
      "max_report", "checkpoint", "request_id", "deadline_s"}
@@ -152,7 +115,6 @@ MAX_SESSION_ID_LEN = 128
 
 #: upper bound on a client-generated ``request_id`` (dedup table key)
 MAX_REQUEST_ID_LEN = 256
-_CONFIG_FIELDS = frozenset(SolverConfig.__dataclass_fields__)
 
 #: record.error prefixes -> CLI exit codes (``repro solve`` semantics)
 _ERROR_EXIT_CODES = {
@@ -219,16 +181,37 @@ def error_frame(
 def error_from_frame(frame: Dict[str, Any]) -> ServerError:
     """The :class:`~repro.errors.ServerError` a received ``error`` frame
     describes; fields it leaves out come from :data:`ERROR_CODES`."""
-    code = frame.get("code", "internal")
-    retriable, exit_code = ERROR_CODES.get(code, ERROR_CODES["internal"])
-    err = ServerError(
+    return ServerError(
         frame.get("message", "server error"),
-        code=code,
-        retriable=bool(frame.get("retriable", retriable)),
-        exit_code=int(frame.get("exit_code", exit_code)),
+        code=frame.get("code", "internal"),
+        retriable=frame.get("retriable"),
+        exit_code=frame.get("exit_code"),
+        retry_after_s=frame.get("retry_after_s"),
     )
-    err.retry_after_s = frame.get("retry_after_s")
-    return err
+
+
+def client_hello(client: str) -> Dict[str, Any]:
+    """The hello frame a client opens every connection with."""
+    return {"type": "hello", "protocol": PROTOCOL, "client": client}
+
+
+def check_hello(frame: Dict[str, Any]) -> Dict[str, Any]:
+    """``frame`` if it is a ``repro-wire/1`` hello reply.
+
+    An ``error`` reply raises its :class:`~repro.errors.ServerError`;
+    another frame type, or a hello of another protocol, raises
+    :class:`~repro.errors.ProtocolError`.
+    """
+    if frame.get("type") == "error":
+        raise error_from_frame(frame)
+    if frame.get("type") != "hello":
+        raise ProtocolError(f"expected a hello frame, got {frame.get('type')!r}")
+    if frame.get("protocol") != PROTOCOL:
+        raise ProtocolError(
+            f"peer speaks {frame.get('protocol')!r}, not {PROTOCOL}",
+            code="unsupported_protocol",
+        )
+    return frame
 
 
 def hello_frame(max_frame_bytes: int, server: str) -> Dict[str, Any]:
@@ -370,11 +353,6 @@ def _config_from_frame(frame: Dict[str, Any]) -> SolverConfig:
     if not isinstance(config_spec, dict):
         raise ProtocolError("'config' must be an object", code="bad_request")
     config_spec = dict(config_spec)
-    bad = set(config_spec) - _CONFIG_FIELDS
-    if bad:
-        raise ProtocolError(
-            f"unknown config key(s) {sorted(bad)}", code="bad_request"
-        )
     problem = frame.get("problem")
     if problem is not None:
         if not isinstance(problem, str):
@@ -396,9 +374,9 @@ def _config_from_frame(frame: Dict[str, Any]) -> SolverConfig:
             code="unsupported_problem",
         )
     try:
-        return SolverConfig(**config_spec)
-    except (SolverConfigError, ValueError, TypeError) as exc:
-        raise ProtocolError(f"invalid config: {exc}", code="bad_request") from exc
+        return config_from_dict(config_spec)
+    except SolverConfigError as exc:
+        raise ProtocolError(str(exc), code="bad_request") from exc
 
 
 def solve_request_from_frame(frame: Dict[str, Any]):

@@ -41,11 +41,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from .. import __version__
-from ..errors import ProtocolError, ServerError, SessionError
+from ..errors import ServerError, SessionError
 from ..log import get_logger
 from ..stream import GraphSession, SessionManager
 from . import protocol
-from .bridge import BridgeQueueFull, SolveBridge
+from .bridge import SolveBridge
 from .endpoint import Conn, EndpointThread, WireEndpoint
 from .limiter import TokenBucket
 
@@ -231,52 +231,23 @@ class SolveServer(WireEndpoint):
                     del self._subscribers[sid]
         conn.subs.clear()
 
-    # ------------------------------------------------------------------
-    # refusals shared by the solve and session frames
-    # ------------------------------------------------------------------
-    async def _rate_limited(self, conn: Conn, rid) -> bool:
-        """Spend one token of the connection's bucket, or answer why not."""
+    def _spend_token(self, conn: Conn) -> None:
+        """Spend one token of the connection's bucket; ``rate_limited`` if empty."""
         ok, retry_after = conn.bucket.try_acquire()
-        if ok:
-            return False
-        self.stats.inc("rejects.rate_limited")
-        await self._send_error(
-            conn,
-            "rate_limited",
-            f"connection rate limit "
-            f"({self.config.rate:g}/s, burst {self.config.burst}) exceeded",
-            request_id=rid,
-            retry_after_s=retry_after,
-        )
-        return True
-
-    async def _to_bridge(self, conn: Conn, rid, submit, *args):
-        """Queue work on the bridge; the future, or None once refused."""
-        try:
-            return submit(*args)
-        except BridgeQueueFull as exc:
-            self.stats.inc("rejects.server_busy")
-            await self._send_error(
-                conn, "server_busy", str(exc), request_id=rid, retry_after_s=0.1
+        if not ok:
+            raise ServerError(
+                f"connection rate limit "
+                f"({self.config.rate:g}/s, burst {self.config.burst}) exceeded",
+                code="rate_limited",
+                retry_after_s=retry_after,
             )
-        except ServerError as exc:
-            self.stats.inc(f"rejects.{exc.code}")
-            await self._send_error(conn, exc.code, str(exc), request_id=rid)
-        return None
 
     # ------------------------------------------------------------------
     # solve path
     # ------------------------------------------------------------------
     async def _on_solve(self, conn: Conn, frame: Dict[str, Any]) -> None:
-        request_id = frame.get("id")
-        if await self._bad_id(conn, request_id):
-            return
-        try:
-            dedup_key = protocol.validate_request_key(frame)
-        except ProtocolError as exc:
-            self.stats.inc("rejects.bad_request")
-            await self._send_error(conn, exc.code, str(exc), request_id=request_id)
-            return
+        request_id = self._frame_id(frame)
+        dedup_key = protocol.validate_request_key(frame)
         # idempotency first: a duplicated or resent solve must never
         # execute twice, so the dedup table answers before rate limits,
         # the in-flight-id check, or the (expensive) graph decode
@@ -284,49 +255,23 @@ class SolveServer(WireEndpoint):
             conn, request_id, dedup_key
         ):
             return
-        if request_id is not None and request_id in conn.jobs:
-            await self._send_error(
-                conn,
-                "bad_request",
-                f"request id {request_id!r} is already in flight "
-                f"on this connection",
-                request_id=request_id,
-            )
-            return
-        if await self._refuse_draining(
-            conn, request_id
-        ) or await self._rate_limited(conn, request_id):
-            return
+        self._check_id_free(conn, request_id)
+        self._check_not_draining()
+        self._spend_token(conn)
         # graph decode can be MiBs of base64+gzip+parsing: off the loop
         loop = asyncio.get_running_loop()
+        request, max_report = await loop.run_in_executor(
+            None, protocol.solve_request_from_frame, frame
+        )
         try:
-            request, max_report = await loop.run_in_executor(
-                None, protocol.solve_request_from_frame, frame
-            )
-        except ProtocolError as exc:
-            self.stats.inc("rejects.bad_request")
-            await self._send_error(conn, exc.code, str(exc), request_id=request_id)
-            return
-        if request.deadline is not None and request.deadline.expired:
-            # the budget is already gone: refuse retriable instead of
-            # computing an answer the client has stopped waiting for
-            self.stats.inc("rejects.deadline_exceeded")
+            self._check_deadline(request, "before dispatch")
+        except ServerError:
             self.service.tracer.counter("service.deadline.rejected")
-            await self._send_error(
-                conn,
-                "deadline_exceeded",
-                "request deadline expired before dispatch",
-                request_id=request_id,
-            )
-            return
+            raise
         job_id = f"conn{conn.cid}-job{self._next_job}"
         self._next_job += 1
         request.job_id = job_id
-        future = await self._to_bridge(
-            conn, request_id, self.bridge.submit, request
-        )
-        if future is None:
-            return
+        future = self.bridge.submit(request)
         self.stats.inc("solves.accepted")
         if request_id is not None:
             conn.jobs[request_id] = job_id
@@ -373,7 +318,7 @@ class SolveServer(WireEndpoint):
         try:
             record = await asyncio.wrap_future(entry.future)
         except ServerError as exc:
-            await self._send_error(conn, exc.code, str(exc), request_id=request_id)
+            await self._refuse(conn, exc, request_id, tally=None)
             return
         await self._send(
             conn, protocol.result_frame(request_id, record, entry.max_report)
@@ -411,8 +356,7 @@ class SolveServer(WireEndpoint):
             # the same request_id executes fresh (nothing ran here)
             if entry is not None and self._dedup.get(entry.key) is entry:
                 del self._dedup[entry.key]
-            self.stats.inc(f"solves.{exc.code}")
-            await self._send_error(conn, exc.code, str(exc), request_id=request_id)
+            await self._refuse(conn, exc, request_id, tally="solves")
             return
         finally:
             if request_id is not None:
@@ -439,9 +383,7 @@ class SolveServer(WireEndpoint):
         (docs/CLUSTER.md).
         """
         ftype = frame["type"]
-        request_id = await self._required_id(conn, frame)
-        if request_id is None:
-            return
+        request_id = self._frame_id(frame, required=True)
         job_id = conn.jobs.get(request_id)
         known = job_id is not None
         cancelled = ftype == "cancel" and known and self.bridge.cancel(job_id)
@@ -497,20 +439,14 @@ class SolveServer(WireEndpoint):
         return solve_batch
 
     async def _on_open_session(self, conn: Conn, frame: Dict[str, Any]) -> None:
-        rid = frame.get("id")
-        if await self._bad_id(conn, rid) or await self._refuse_draining(conn, rid):
-            return
+        rid = self._frame_id(frame)
+        self._check_not_draining()
         request_key = frame.get("request_id")
         # graph decode can be MiBs of base64+gzip+parsing: off the loop
         loop = asyncio.get_running_loop()
-        try:
-            sid, graph, config = await loop.run_in_executor(
-                None, protocol.open_session_from_frame, frame
-            )
-        except ProtocolError as exc:
-            self.stats.inc("rejects.bad_request")
-            await self._send_error(conn, exc.code, str(exc), request_id=rid)
-            return
+        sid, graph, config = await loop.run_in_executor(
+            None, protocol.open_session_from_frame, frame
+        )
 
         def fn():
             if sid in self.sessions:
@@ -537,54 +473,28 @@ class SolveServer(WireEndpoint):
             self.sessions.create(session)
             return session.view
 
-        await self._submit_session_op(conn, rid, fn, "session-opened")
+        self._submit_session_op(conn, rid, fn, "session-opened")
 
     async def _on_mutate(self, conn: Conn, frame: Dict[str, Any]) -> None:
-        rid = frame.get("id")
-        if await self._bad_id(conn, rid):
-            return
-        try:
-            sid, inserts, deletes = protocol.mutation_from_frame(frame)
-            request_key = protocol.validate_request_key(frame)
-        except ProtocolError as exc:
-            self.stats.inc("rejects.bad_request")
-            await self._send_error(conn, exc.code, str(exc), request_id=rid)
-            return
+        rid = self._frame_id(frame)
+        sid, inserts, deletes = protocol.mutation_from_frame(frame)
+        request_key = protocol.validate_request_key(frame)
         # mutations trigger solves, so they draw from the same
         # per-connection rate budget as solve frames
-        if await self._refuse_draining(conn, rid) or await self._rate_limited(
-            conn, rid
-        ):
-            return
+        self._check_not_draining()
+        self._spend_token(conn)
 
         def fn():
             return self.sessions.get(sid).apply(
                 inserts, deletes, request_id=request_key
             )
 
-        await self._submit_session_op(conn, rid, fn, "mutated")
+        self._submit_session_op(conn, rid, fn, "mutated")
 
     async def _on_subscribe(self, conn: Conn, frame: Dict[str, Any]) -> None:
-        rid = frame.get("id")
-        if not isinstance(rid, str) or not rid:
-            await self._send_error(
-                conn,
-                "bad_request",
-                "subscribe needs an 'id' string "
-                "(update frames are stamped with it)",
-            )
-            return
-        try:
-            sid = protocol.validate_session_id(frame)
-        except ProtocolError as exc:
-            await self._send_error(conn, exc.code, str(exc), request_id=rid)
-            return
-        try:
-            session = self.sessions.get(sid)
-        except SessionError as exc:
-            self.stats.inc(f"sessions.{exc.code}")
-            await self._send_error(conn, exc.code, str(exc), request_id=rid)
-            return
+        rid = self._frame_id(frame, required=True)
+        sid = protocol.validate_session_id(frame)
+        session = self.sessions.get(sid)
         # snapshot + register under the push lock so the snapshot and
         # later pushes cannot reorder on this connection
         lock = self._push_locks.setdefault(sid, asyncio.Lock())
@@ -598,23 +508,15 @@ class SolveServer(WireEndpoint):
             await self._send(conn, protocol.session_frame("update", view, rid))
 
     async def _on_close_session(self, conn: Conn, frame: Dict[str, Any]) -> None:
-        rid = frame.get("id")
-        if await self._bad_id(conn, rid):
-            return
-        try:
-            sid = protocol.validate_session_id(frame)
-        except ProtocolError as exc:
-            await self._send_error(conn, exc.code, str(exc), request_id=rid)
-            return
+        rid = self._frame_id(frame)
+        sid = protocol.validate_session_id(frame)
 
         def fn():
             return self.sessions.close(sid).view
 
-        await self._submit_session_op(
-            conn, rid, fn, "session-closed", closing=True
-        )
+        self._submit_session_op(conn, rid, fn, "session-closed", closing=True)
 
-    async def _submit_session_op(
+    def _submit_session_op(
         self, conn: Conn, rid, fn, reply_type: str, closing: bool = False
     ) -> None:
         """Queue one session operation on the bridge worker.
@@ -624,9 +526,8 @@ class SolveServer(WireEndpoint):
         sessions' operations interleave with each other and with solve
         batches.
         """
-        future = await self._to_bridge(conn, rid, self.bridge.submit_session, fn)
-        if future is not None:
-            conn.spawn(self._await_session_op(conn, rid, future, reply_type, closing))
+        future = self.bridge.submit_session(fn)
+        conn.spawn(self._await_session_op(conn, rid, future, reply_type, closing))
 
     async def _await_session_op(
         self, conn: Conn, rid, future, reply_type: str, closing: bool
@@ -634,16 +535,12 @@ class SolveServer(WireEndpoint):
         try:
             view = await asyncio.wrap_future(future)
         except (SessionError, ServerError) as exc:
-            self.stats.inc(f"sessions.{exc.code}")
-            await self._send_error(conn, exc.code, str(exc), request_id=rid)
+            await self._refuse(conn, exc, rid, tally="sessions")
             return
         except BaseException as exc:
             log.exception("session %s operation failed", reply_type)
-            await self._send_error(
-                conn,
-                "internal",
-                f"session operation failed: {exc}",
-                request_id=rid,
+            await self._refuse(
+                conn, ServerError(f"session operation failed: {exc}"), rid, tally=None
             )
             return
         self.stats.inc(f"sessions.{reply_type}")

@@ -41,7 +41,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Union
 
 from ..core.config import (
-    FINGERPRINT_VERSION, SolverConfig, config_fingerprint, is_time_budget,
+    FINGERPRINT_VERSION, SolverConfig, config_fingerprint, config_from_dict,
+    is_time_budget,
 )
 from ..errors import JobSpecError, SolverConfigError, read_json
 from ..graph.csr import CSRGraph
@@ -54,7 +55,6 @@ _JOB_KEYS = {
     "problem", "fingerprint",
 }
 _DEFAULT_KEYS = {"priority", "timeout_s", "config", "problem"}
-_CONFIG_FIELDS = frozenset(SolverConfig.__dataclass_fields__)
 
 
 def resolve_graph(name: str) -> CSRGraph:
@@ -76,19 +76,6 @@ def resolve_graph(name: str) -> CSRGraph:
             f"{name!r} is neither a readable file nor a suite dataset "
             f"(try `python -m repro datasets`)"
         )
-
-
-def _build_config(spec: Dict[str, Any], where: str) -> SolverConfig:
-    unknown = set(spec) - _CONFIG_FIELDS
-    if unknown:
-        raise JobSpecError(
-            f"{where}: unknown config key(s) {sorted(unknown)}; valid keys "
-            f"are the SolverConfig fields {sorted(_CONFIG_FIELDS)}"
-        )
-    try:
-        return SolverConfig(**spec)
-    except (SolverConfigError, ValueError, TypeError) as exc:
-        raise JobSpecError(f"{where}: invalid config: {exc}")
 
 
 def _check_fingerprint(fp: Any, config: SolverConfig, where: str) -> None:
@@ -178,7 +165,10 @@ def parse_jobs(payload: Union[list, dict], source: str = "<jobs>") -> List[Solve
             if not isinstance(problem, str):
                 raise JobSpecError(f"{where}: 'problem' must be a string")
             config_spec["problem"] = problem
-        config = _build_config(config_spec, where)
+        try:
+            config = config_from_dict(config_spec)
+        except SolverConfigError as exc:
+            raise JobSpecError(f"{where}: {exc}") from exc
         _check_fingerprint(job.get("fingerprint"), config, where)
         timeout_s = job.get("timeout_s", defaults.get("timeout_s"))
         if timeout_s is not None and not is_time_budget(timeout_s):
@@ -188,6 +178,9 @@ def parse_jobs(payload: Union[list, dict], source: str = "<jobs>") -> List[Solve
         priority = job.get("priority", defaults.get("priority", 0))
         if not isinstance(priority, int) or isinstance(priority, bool):
             raise JobSpecError(f"{where}: 'priority' must be an integer")
+        label = job.get("label", graph_name)
+        if not isinstance(label, str):
+            raise JobSpecError(f"{where}: 'label' must be a string")
         requests.append(
             SolveRequest(
                 graph=resolve_graph(graph_name),
@@ -195,7 +188,7 @@ def parse_jobs(payload: Union[list, dict], source: str = "<jobs>") -> List[Solve
                 job_id=job.get("id"),
                 priority=priority,
                 timeout_s=timeout_s,
-                label=job.get("label", graph_name),
+                label=label,
             )
         )
     return requests

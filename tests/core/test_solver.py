@@ -11,6 +11,7 @@ from repro import (
     SolverConfig,
     find_maximum_cliques,
 )
+from repro.core.config import config_from_dict
 from repro.errors import SolveTimeoutError, SolverConfigError
 from repro.graph import from_edge_list
 from repro.graph import generators as gen
@@ -196,6 +197,18 @@ class TestConfigValidation:
     def test_bad_heuristic_runs(self):
         with pytest.raises(SolverConfigError):
             SolverConfig(heuristic_runs=0)
+
+    def test_config_from_dict(self):
+        spec = {"heuristic": "none", "window_size": 8}
+        assert config_from_dict(spec) == SolverConfig(**spec)
+        unknown = r"unknown config key\(s\) \['nope'\]"
+        with pytest.raises(SolverConfigError, match=unknown):
+            config_from_dict({"nope": 1, "seed": 2})
+        for bad in (
+            {"heuristic": "zzz"}, {"window_fanout": 0}, {"heuristic_runs": "x"}
+        ):
+            with pytest.raises(SolverConfigError, match="invalid config"):
+                config_from_dict(bad)
 
 
 class TestSharedDevice:

@@ -37,6 +37,15 @@ def test_event_rejects_wrong_hook():
         FaultEvent(0, "launch", 0, "flaky-alloc")
 
 
+@pytest.mark.parametrize(
+    "device,ordinal",
+    [(0, 2.5), (0.5, 0), (True, 0), (0, False), (0, "3"), (-1, 0), (0, -1)],
+)
+def test_event_rejects_an_address_that_is_not_a_non_negative_int(device, ordinal):
+    with pytest.raises(FaultPlanError, match="non-negative integers"):
+        FaultEvent(device, "launch", ordinal, "transient-kernel")
+
+
 def test_device_lost_fires_on_either_hook():
     FaultEvent(0, "launch", 0, "device-lost")
     FaultEvent(0, "alloc", 0, "device-lost")
@@ -142,6 +151,16 @@ def test_load_rejects_malformed_fields(tmp_path):
         (
             {"events": [{"device": 0, "on": "launch", "ordinal": 0, "kind": "nope"}]},
             "unknown fault kind 'nope'",
+        ),
+        (
+            {"events": [{"device": 0, "on": "launch", "ordinal": 2.5,
+                         "kind": "transient-kernel"}]},
+            "ordinal must be non-negative integers",
+        ),
+        (
+            {"events": [{"device": True, "on": "launch", "ordinal": 0,
+                         "kind": "transient-kernel"}]},
+            "ordinal must be non-negative integers",
         ),
     ):
         path.write_text(json.dumps(doc))

@@ -29,6 +29,20 @@ class TestEventValidation:
         with pytest.raises(NetFaultPlanError, match="non-negative"):
             NetFaultEvent(conn=-1, direction="c2s", frame=0, kind="cut")
 
+    @pytest.mark.parametrize(
+        "conn,frame", [(0, 1.5), (0.5, 0), (True, 0), (0, False), ("0", 0)]
+    )
+    def test_address_must_be_an_int(self, conn, frame):
+        with pytest.raises(NetFaultPlanError, match="non-negative integers"):
+            NetFaultEvent(conn=conn, direction="c2s", frame=frame, kind="duplicate")
+
+    @pytest.mark.parametrize("at_byte", [1.5, True, -1])
+    def test_split_offset_must_be_an_int(self, at_byte):
+        with pytest.raises(NetFaultPlanError, match="at_byte"):
+            NetFaultEvent(
+                conn=0, direction="s2c", frame=0, kind="cut", at_byte=at_byte
+            )
+
     @pytest.mark.parametrize("kind", ["delay", "stall"])
     def test_timed_kinds_need_positive_delay(self, kind):
         with pytest.raises(NetFaultPlanError, match="positive delay_s"):
@@ -191,6 +205,11 @@ class TestSerialization:
                 "unknown net fault kind 'nope'",
             ),
             ({"partitions": [{"start_s": 0.0, "duration_s": 0.0}]}, "duration_s"),
+            (
+                {"events": [{"conn": 0, "direction": "c2s", "frame": 1.5,
+                             "kind": "duplicate"}]},
+                "frame must be non-negative integers",
+            ),
         ):
             path.write_text(json.dumps(doc))
             with pytest.raises(NetFaultPlanError, match=match) as info:

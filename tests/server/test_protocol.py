@@ -6,7 +6,7 @@ import gzip
 import pytest
 
 from repro.core.config import SolverConfig
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, ServerError
 from repro.graph import generators as gen
 from repro.server import protocol
 from repro.server.limiter import TokenBucket
@@ -57,6 +57,37 @@ class TestFraming:
         assert frame["retriable"] is False
         assert frame["exit_code"] == 1
         assert "id" not in frame and "retry_after_s" not in frame
+
+
+class TestHello:
+    def test_client_hello_names_the_protocol(self):
+        assert protocol.client_hello("raw") == {
+            "type": "hello", "protocol": protocol.PROTOCOL, "client": "raw"
+        }
+
+    def test_a_hello_reply_passes(self):
+        reply = protocol.hello_frame(1024, "repro/test")
+        assert protocol.check_hello(reply) is reply
+
+    def test_an_error_reply_raises_its_server_error(self):
+        reply = protocol.error_frame("too_many_connections", "full", None, 0.5)
+        with pytest.raises(ServerError) as info:
+            protocol.check_hello(reply)
+        assert info.value.code == "too_many_connections"
+        assert info.value.retriable is True
+        assert info.value.retry_after_s == 0.5
+
+    @pytest.mark.parametrize(
+        "reply,code",
+        [
+            ({"type": "stats"}, "bad_frame"),
+            ({"type": "hello", "protocol": "repro-wire/9"}, "unsupported_protocol"),
+        ],
+    )
+    def test_another_frame_is_a_protocol_error(self, reply, code):
+        with pytest.raises(ProtocolError) as info:
+            protocol.check_hello(reply)
+        assert info.value.code == code
 
 
 class TestGraphPayloads:

@@ -386,6 +386,53 @@ class TestAbuse:
         assert stats["server"].get("solves.cancelled_on_disconnect", 0) >= 1
 
 
+#: refusals a server and a router must answer alike: the frames sent in
+#: one write, then the refused frame's code and echoed id
+REFUSED = {
+    "non-string-id": (
+        [{"type": "solve", "id": 5, "graph": TRIANGLE}], "bad_request", None
+    ),
+    "status-without-id": ([{"type": "status"}], "bad_request", None),
+    "subscribe-without-id": (
+        [{"type": "subscribe", "session": "s"}], "bad_request", None
+    ),
+    "id-in-flight": (
+        [{"type": "solve", "id": "dup", "graph": TRIANGLE}] * 2, "bad_request", "dup"
+    ),
+    "bad-session-id": (
+        [{"type": "close-session", "id": "c", "session": ""}], "bad_request", "c"
+    ),
+    "unknown-type": ([{"type": "frobnicate", "id": "x"}], "unknown_type", "x"),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_server_and_router_refuse_alike(self, make_endpoints, raw_conn, case):
+        sent, code, rid = REFUSED[case]
+        answers = []
+        for endpoint in make_endpoints():
+            conn = raw_conn(endpoint)
+            conn.hello()
+            conn.send({"type": "stats"})
+            before = conn.recv()
+            section = "server" if "server" in before else "router"
+            conn.send_bytes(b"".join(protocol.encode_frame(f) for f in sent))
+            # an accepted solve answers too; the refusal is the error
+            frames = _collect(conn, len(sent))
+            (error,) = [f for f in frames if f["type"] == "error"]
+            answers.append(
+                (error["code"], error["retriable"], error["exit_code"],
+                 error.get("id"), "retry_after_s" in error)
+            )
+            # the connection survives, and the refusal counted once
+            conn.send({"type": "stats"})
+            after = conn.recv()
+            key = f"rejects.{code}"
+            assert after[section].get(key, 0) == before[section].get(key, 0) + 1
+        assert answers == [(code, False, 1, rid, False)] * 2
+
+
 class TestDrain:
     def test_shutdown_frame_drains(self, make_server, make_client, community):
         server = make_server()

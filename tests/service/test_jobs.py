@@ -93,6 +93,11 @@ class TestParseJobs:
                 {"defaults": {"priority": priority}, "jobs": [{"graph": graph_file}]}
             )
 
+    @pytest.mark.parametrize("label", [5, None, ["a"]], ids=["int", "null", "list"])
+    def test_non_string_label_refused(self, graph_file, label):
+        with pytest.raises(JobSpecError, match=r"job #0: 'label' must be a string"):
+            parse_jobs([{"graph": graph_file, "label": label}])
+
     def test_invalid_config_combination(self, graph_file):
         with pytest.raises(JobSpecError, match="invalid config"):
             parse_jobs(

@@ -1,10 +1,12 @@
 """Exception hierarchy tests."""
 
 from repro.errors import (
+    ERROR_CODES,
     DeviceOOMError,
     DeviceStateError,
     GraphFormatError,
     ReproError,
+    ServerError,
     SolveTimeoutError,
     SolverConfigError,
 )
@@ -38,3 +40,20 @@ class TestDeviceOOMError:
         assert exc.budget == 120
         msg = str(exc)
         assert "100" in msg and "50" in msg and "120" in msg
+
+
+class TestServerError:
+    def test_semantics_come_from_the_code_table(self):
+        for code, (retriable, exit_code) in ERROR_CODES.items():
+            exc = ServerError("x", code=code)
+            assert (exc.retriable, exc.exit_code) == (retriable, exit_code)
+            assert exc.retry_after_s is None
+
+    def test_an_unlisted_code_gets_internal_semantics(self):
+        exc = ServerError("x", code="unreachable")
+        assert (exc.retriable, exc.exit_code) == ERROR_CODES["internal"]
+
+    def test_given_fields_override_the_table(self):
+        exc = ServerError("x", code="draining", retriable=False, exit_code=7,
+                          retry_after_s=0.5)
+        assert (exc.retriable, exc.exit_code, exc.retry_after_s) == (False, 7, 0.5)
